@@ -1,8 +1,15 @@
 #include "bench_common.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <thread>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
+#include "common/cpu.hpp"
 #include "common/env.hpp"
 #include "common/logging.hpp"
 
@@ -195,5 +202,38 @@ JsonWriter& JsonWriter::field(const std::string& key, bool value) {
 }
 
 std::string JsonWriter::str() const { return out_; }
+
+namespace {
+
+/// CPUID brand string (leaves 0x80000002..4), "unknown" off x86.
+std::string cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__get_cpuid_max(0x80000000u, nullptr) < 0x80000004u) {
+    return "unknown";
+  }
+  unsigned int regs[12] = {};
+  for (unsigned int i = 0; i < 3; ++i) {
+    __get_cpuid(0x80000002u + i, &regs[i * 4], &regs[i * 4 + 1],
+                &regs[i * 4 + 2], &regs[i * 4 + 3]);
+  }
+  char brand[49] = {};
+  std::memcpy(brand, regs, 48);
+  const std::string model(brand);
+  const size_t first = model.find_first_not_of(' ');
+  return first == std::string::npos ? "unknown" : model.substr(first);
+#else
+  return "unknown";
+#endif
+}
+
+}  // namespace
+
+void host_fingerprint(JsonWriter& json) {
+  json.field("cpu_model", cpu_model())
+      .field("hardware_concurrency",
+             static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .field("cpu_tier",
+             std::string(common::tier_name(common::active_tier())));
+}
 
 }  // namespace roadfusion::bench

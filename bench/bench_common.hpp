@@ -96,4 +96,9 @@ class JsonWriter {
   bool needs_comma_ = false;
 };
 
+/// Adds the host fingerprint a timing needs to be read against: CPU brand
+/// string ("cpu_model"), `std::thread::hardware_concurrency()` and the
+/// active CPU dispatch tier ("cpu_tier").
+void host_fingerprint(JsonWriter& json);
+
 }  // namespace roadfusion::bench

@@ -11,14 +11,15 @@
 // state: the graph predict path (the pre-§11 implementation: Variable
 // graph, per-call heap allocations) against the planned path (raw
 // forward inside a workspace arena, pre-packed weights, fused
-// epilogues), on both kernel backends, with per-call heap-allocation
-// counts measured by the operator-new hooks from tests/alloc_hooks.cpp.
+// epilogues), with per-call heap-allocation counts measured by the
+// operator-new hooks from tests/alloc_hooks.cpp.
 //
 // Since DESIGN.md §16 a third "compiled" row runs the same predict
 // through the inference plan compiler (blocked NCHWc8 layout, fused
-// cross-layer epilogues, minimal buffer schedule), and the JSON records
-// the active CPU feature tier plus the solver the dispatch registry
-// binds for every recorded conv layer.
+// cross-layer epilogues, minimal buffer schedule). Every row runs the
+// shipped kernel selection (no forced solver, no perf DB), and the JSON
+// records the host fingerprint plus the solver that same selection binds
+// for every recorded graph-order conv layer.
 //
 // Flags:
 //   --smoke        seconds-fast mode: path comparison only, few repeats,
@@ -33,11 +34,9 @@
 #include <vector>
 
 #include "alloc_hooks.hpp"
-#include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
 #include "bench_common.hpp"
-#include "common/cpu.hpp"
 #include "plan/plan.hpp"
 #include "tensor/shape.hpp"
 #include "tune/dispatch.hpp"
@@ -78,7 +77,7 @@ tensor::Tensor graph_predict(const roadseg::SegmentationModel& net,
   return autograd::sigmoid(result.logits).value();
 }
 
-/// One (backend, path) cell of the steady-state comparison.
+/// One path cell of the steady-state comparison.
 struct PathMeasurement {
   double latency_ms = 0.0;
   double allocs_per_call = 0.0;
@@ -109,7 +108,6 @@ PathMeasurement measure_path(Fn&& call, int repeats) {
 }
 
 struct PathRow {
-  std::string backend;
   std::string path;
   PathMeasurement m;
 };
@@ -142,8 +140,8 @@ int main(int argc, char** argv) {
       "single-core per-image forward latency; FD loss is training-only");
 
   // -------------------------------------------------------------------
-  // Steady-state path comparison (DESIGN.md §11): graph vs planned,
-  // both backends, with per-call heap-allocation counts. Weight values
+  // Steady-state path comparison (DESIGN.md §11): graph vs planned vs
+  // compiled, with per-call heap-allocation counts. Weight values
   // do not affect latency, so a seeded untrained model keeps this
   // section deterministic and cache-independent.
   // -------------------------------------------------------------------
@@ -161,32 +159,27 @@ int main(int argc, char** argv) {
   net.prepare_inference();
 
   std::vector<PathRow> rows;
-  const std::string previous_backend = autograd::kernels::backend_name();
-  for (const char* backend : {"reference", "blocked"}) {
-    autograd::kernels::set_backend(backend);
-    rows.push_back({backend, "graph",
-                    measure_path([&] { (void)graph_predict(net, rgb, depth); },
-                                 path_repeats)});
-    // "planned" is the raw graph-order workspace path (DESIGN.md §11);
-    // "compiled" runs the same predict through the inference plan
-    // (DESIGN.md §16: blocked NCHWc8 layout, fused cross-layer
-    // epilogues). ROADFUSION_PLAN is re-read at every prepare_inference.
-    ::setenv("ROADFUSION_PLAN", "0", 1);
-    net.prepare_inference();
-    rows.push_back({backend, "planned",
-                    measure_path([&] { (void)net.predict(rgb, depth); },
-                                 path_repeats)});
-    ::unsetenv("ROADFUSION_PLAN");
-    net.prepare_inference();
-    rows.push_back({backend, "compiled",
-                    measure_path([&] { (void)net.predict(rgb, depth); },
-                                 path_repeats)});
-  }
-  autograd::kernels::set_backend(previous_backend);
+  rows.push_back({"graph",
+                  measure_path([&] { (void)graph_predict(net, rgb, depth); },
+                               path_repeats)});
+  // "planned" is the raw graph-order workspace path (DESIGN.md §11);
+  // "compiled" runs the same predict through the inference plan
+  // (DESIGN.md §16: blocked NCHWc8 layout, fused cross-layer epilogues).
+  // ROADFUSION_PLAN is re-read at every prepare_inference.
+  ::setenv("ROADFUSION_PLAN", "0", 1);
+  net.prepare_inference();
+  rows.push_back({"planned",
+                  measure_path([&] { (void)net.predict(rgb, depth); },
+                               path_repeats)});
+  ::unsetenv("ROADFUSION_PLAN");
+  net.prepare_inference();
+  rows.push_back({"compiled",
+                  measure_path([&] { (void)net.predict(rgb, depth); },
+                               path_repeats)});
 
   // Per-layer solver selections: record the conv problems of one
   // graph-order predict, then ask the dispatch layer what it binds for
-  // each. Under the compiled plan the interior encoder convs never reach
+  // each — the same default selection the rows above ran. Under the compiled plan the interior encoder convs never reach
   // this registry — they run the plan's own nchwc_direct kernel — so
   // this table describes the graph-order layers (stems, stage-0 filters,
   // decoder under the plan; everything when the plan declines).
@@ -205,11 +198,9 @@ int main(int argc, char** argv) {
               "%d repeats)\n",
               static_cast<long long>(height), static_cast<long long>(width),
               path_repeats);
-  bench::print_row({"backend", "path", "latency(ms)", "allocs/call",
-                    "KiB/call"},
-                   14);
+  bench::print_row({"path", "latency(ms)", "allocs/call", "KiB/call"}, 14);
   for (const PathRow& row : rows) {
-    bench::print_row({row.backend, row.path, fmt(row.m.latency_ms, 3),
+    bench::print_row({row.path, fmt(row.m.latency_ms, 3),
                       fmt(row.m.allocs_per_call, 1),
                       fmt(row.m.bytes_per_call / 1024.0, 1)},
                      14);
@@ -220,13 +211,11 @@ int main(int argc, char** argv) {
       .field("smoke", smoke)
       .field("repeats", static_cast<int64_t>(path_repeats))
       .field("image_height", static_cast<int64_t>(height))
-      .field("image_width", static_cast<int64_t>(width))
-      .field("cpu_tier",
-             std::string(common::tier_name(common::active_tier())))
-      .begin_array("paths");
+      .field("image_width", static_cast<int64_t>(width));
+  bench::host_fingerprint(json);
+  json.begin_array("paths");
   for (const PathRow& row : rows) {
     json.begin_object()
-        .field("backend", row.backend)
         .field("path", row.path)
         .field("latency_ms", row.m.latency_ms, 4)
         .field("allocs_per_call", row.m.allocs_per_call, 1)
@@ -235,33 +224,22 @@ int main(int argc, char** argv) {
   }
   json.end_array().begin_array("layer_solvers");
   for (const tune::ConvProblem& p : layer_problems) {
-    const auto binding = tune::bind(p, true);
     json.begin_object()
         .field("layer", p.key())
-        .field("solver", std::string(binding->solver != nullptr
-                                         ? binding->solver->name()
-                                         : "legacy"))
+        .field("solver", std::string(tune::bind(p, true)->solver->name()))
         .end_object();
   }
+  // rows are (graph, planned, compiled)
+  const double graph_to_planned = rows[0].m.latency_ms / rows[1].m.latency_ms;
+  const double planned_to_compiled =
+      rows[1].m.latency_ms / rows[2].m.latency_ms;
+  std::printf("planned is %.2fx the graph path\n", graph_to_planned);
+  std::printf("compiled plan is %.2fx the planned path\n",
+              planned_to_compiled);
   json.end_array()
-      .begin_object("speedup_graph_to_planned");
-  for (size_t i = 0; i + 2 < rows.size(); i += 3) {
-    // rows come in (graph, planned, compiled) triples per backend
-    json.field(rows[i].backend,
-               rows[i].m.latency_ms / rows[i + 1].m.latency_ms, 3);
-    std::printf("%s: planned is %.2fx the graph path\n",
-                rows[i].backend.c_str(),
-                rows[i].m.latency_ms / rows[i + 1].m.latency_ms);
-  }
-  json.end_object().begin_object("speedup_planned_to_compiled");
-  for (size_t i = 0; i + 2 < rows.size(); i += 3) {
-    json.field(rows[i].backend,
-               rows[i + 1].m.latency_ms / rows[i + 2].m.latency_ms, 3);
-    std::printf("%s: compiled plan is %.2fx the planned path\n",
-                rows[i].backend.c_str(),
-                rows[i + 1].m.latency_ms / rows[i + 2].m.latency_ms);
-  }
-  json.end_object().end_object();
+      .field("speedup_graph_to_planned", graph_to_planned, 3)
+      .field("speedup_planned_to_compiled", planned_to_compiled, 3)
+      .end_object();
   std::printf("%s\n", json.str().c_str());
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -280,15 +258,14 @@ int main(int argc, char** argv) {
       if ((row.path == "planned" || row.path == "compiled") &&
           row.m.allocs_per_call != 0.0) {
         std::fprintf(stderr,
-                     "FAIL: %s path on %s backend allocates %.1f "
-                     "times per call (expected 0)\n",
-                     row.path.c_str(), row.backend.c_str(),
-                     row.m.allocs_per_call);
+                     "FAIL: %s path allocates %.1f times per call "
+                     "(expected 0)\n",
+                     row.path.c_str(), row.m.allocs_per_call);
         return 1;
       }
     }
     std::printf("smoke check passed: planned and compiled paths "
-                "allocation-free on both backends\n");
+                "allocation-free\n");
     return 0;
   }
 

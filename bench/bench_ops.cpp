@@ -1,12 +1,12 @@
-// Operator-level micro-benchmarks (google-benchmark) plus the kernel
-// backend comparison.
+// Operator-level micro-benchmarks (google-benchmark) plus the conv-kernel
+// comparison.
 //
 // Not a paper figure: supporting measurements for the overhead discussion
 // in Sec. IV-B — what a Fusion-filter, the AWN, the edge extractor and the
 // Feature Disparity metric cost relative to the network's backbone convs —
-// and, since the blocked-GEMM backend landed, the machine-readable
-// reference-vs-blocked comparison over the RoadSeg encoder conv shapes —
-// now with a per-solver GFLOP/s block per shape (see src/tune/):
+// and the machine-readable reference-vs-blocked GEMM comparison over the
+// RoadSeg encoder conv shapes, with a per-solver GFLOP/s block per shape
+// (see src/tune/) and the host fingerprint:
 //
 //   bench_ops --kernels-json              JSON to stdout, skip the
 //                                         google-benchmark suite
@@ -22,6 +22,7 @@
 #include <fstream>
 #include <string>
 
+#include "autograd/gemm.hpp"
 #include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
 #include "bench_common.hpp"
@@ -29,6 +30,8 @@
 #include "core/feature_disparity.hpp"
 #include "core/fusion_filter.hpp"
 #include "kitti/dataset.hpp"
+#include "tensor/ops.hpp"
+#include "tune/dispatch.hpp"
 #include "tune/problem.hpp"
 #include "tune/tuner.hpp"
 #include "vision/bev.hpp"
@@ -42,9 +45,10 @@ using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
 
-void conv_forward_with_backend(benchmark::State& state, const char* backend) {
-  const std::string previous = ag::kernels::backend_name();
-  ag::kernels::set_backend(backend);
+/// Times conv2d forward with `solver` forced ("" = the shipped default
+/// binding).
+void conv_forward_with_solver(benchmark::State& state, const char* solver) {
+  tune::force_solver(solver);
   Rng rng(1);
   const int64_t c = state.range(0);
   const ag::Variable x =
@@ -55,18 +59,18 @@ void conv_forward_with_backend(benchmark::State& state, const char* backend) {
     benchmark::DoNotOptimize(
         ag::conv2d(x, w, ag::Variable(), ag::ConvGeometry{3, 1, 1}));
   }
-  ag::kernels::set_backend(previous);
+  tune::force_solver("");
 }
 
 void BM_Conv3x3Forward(benchmark::State& state) {
-  conv_forward_with_backend(state, "reference");
+  conv_forward_with_solver(state, "");
 }
 BENCHMARK(BM_Conv3x3Forward)->Arg(8)->Arg(16)->Arg(32);
 
-void BM_Conv3x3ForwardBlocked(benchmark::State& state) {
-  conv_forward_with_backend(state, "blocked");
+void BM_Conv3x3ForwardReference(benchmark::State& state) {
+  conv_forward_with_solver(state, "reference");
 }
-BENCHMARK(BM_Conv3x3ForwardBlocked)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv3x3ForwardReference)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_Conv3x3Backward(benchmark::State& state) {
   Rng rng(2);
@@ -170,8 +174,8 @@ void BM_DatasetSampleGeneration(benchmark::State& state) {
 BENCHMARK(BM_DatasetSampleGeneration);
 
 // ---------------------------------------------------------------------------
-// Kernel backend comparison (reference vs blocked) over the conv shapes of
-// the RoadSeg encoder at the default 32x96 bench resolution, emitted as
+// Conv GEMM comparison (reference vs blocked kernels) over the conv shapes
+// of the RoadSeg encoder at the default 32x96 bench resolution, emitted as
 // JSON so the perf trajectory across PRs is machine-readable.
 // ---------------------------------------------------------------------------
 
@@ -196,12 +200,13 @@ constexpr ConvShape kEncoderShapes[] = {
     {"stage4.conv2", 32, 32, 3, 1, 1, 2, 6},
 };
 
-/// Seconds per forward GEMM of `shape` under the active backend (mean over
-/// an adaptive iteration count, 2 warmup runs). Times the (cout, cin*k*k) x
-/// (cin*k*k, ho*wo) product the conv lowers to — the part the backend
-/// actually implements; the im2col lowering is shared code outside the
-/// dispatch, so it is done once up front and excluded.
-double time_conv_gemm(const ConvShape& shape) {
+/// Seconds per forward GEMM of `shape` through `gemm` (mean over an
+/// adaptive iteration count, 2 warmup runs). Times the (cout, cin*k*k) x
+/// (cin*k*k, ho*wo) product the conv lowers to — the part the kernel
+/// actually implements; the im2col lowering is shared code outside it, so
+/// it is done once up front and excluded.
+double time_conv_gemm(const ConvShape& shape,
+                      Tensor (*gemm)(const Tensor&, const Tensor&)) {
   Rng rng(17);
   const Tensor x = Tensor::normal(
       Shape::chw(shape.cin, shape.height, shape.width), rng);
@@ -211,7 +216,7 @@ double time_conv_gemm(const ConvShape& shape) {
   const Tensor wmat = Tensor::normal(
       Shape::mat(shape.cout, shape.cin * shape.kernel * shape.kernel), rng);
   auto run = [&] {
-    benchmark::DoNotOptimize(ag::kernels::gemm(wmat, columns));
+    benchmark::DoNotOptimize(gemm(wmat, columns));
   };
   run();
   run();
@@ -246,19 +251,20 @@ tune::ConvProblem shape_problem(const ConvShape& shape) {
   return problem;
 }
 
-/// Runs both legacy backends plus every registered solver (best over its
-/// parameter candidates) over the encoder shapes and returns the JSON
-/// report. The reference/blocked columns still time kernels::gemm()
-/// directly, so their numbers stay comparable with earlier snapshots; the
-/// "solvers" block goes through the tune subsystem's measurement loop.
+/// Times the reference and blocked GEMM kernels directly plus every
+/// registered solver (best over its parameter candidates) over the encoder
+/// shapes and returns the JSON report. The reference/blocked columns call
+/// the kernels with no dispatch in between, so their numbers stay
+/// comparable with earlier snapshots; the "solvers" block goes through the
+/// tune subsystem's measurement loop.
 std::string kernel_comparison_json() {
-  const std::string previous = ag::kernels::backend_name();
-  const tune::TuneOptions tune_options;  // full floors, same as legacy
+  const tune::TuneOptions tune_options;  // full timing floors
   bench::JsonWriter json;
   json.begin_object()
       .field("bench", std::string("bench_ops/kernels"))
       .field("resolution", std::string("32x96"))
       .field("threads", static_cast<int64_t>(1));
+  bench::host_fingerprint(json);
   json.begin_array("shapes");
   double speedup_log_sum = 0.0;
   double tuned_log_sum = 0.0;
@@ -267,10 +273,9 @@ std::string kernel_comparison_json() {
   int64_t shape_count = 0;
   for (const ConvShape& shape : kEncoderShapes) {
     const double gflop = 2.0 * static_cast<double>(conv_macs(shape)) / 1e9;
-    ag::kernels::set_backend("reference");
-    const double reference_s = time_conv_gemm(shape);
-    ag::kernels::set_backend("blocked");
-    const double blocked_s = time_conv_gemm(shape);
+    const double reference_s = time_conv_gemm(shape, &tensor::matmul);
+    const double blocked_s =
+        time_conv_gemm(shape, &ag::kernels::blocked_matmul);
     const tune::ProblemTuneResult tuned =
         tune::tune_problem(shape_problem(shape), tune_options);
     json.begin_object()
@@ -308,7 +313,7 @@ std::string kernel_comparison_json() {
     const tune::SolverMeasurement& winner = tuned.best();
     // tuned_vs_blocked compares within the solver measurement harness (the
     // default-parameter blocked solver as the baseline) so the ratio is not
-    // polluted by the legacy column's per-call allocation; >= 1.0 for every
+    // polluted by the direct column's per-call allocation; >= 1.0 for every
     // shape where the blocked solver applies, by construction.
     const tune::SolverMeasurement* blocked_solver = tuned.find("blocked");
     const double blocked_gflops = blocked_solver != nullptr
@@ -359,7 +364,6 @@ std::string kernel_comparison_json() {
       .field("int8_wins_vs_best_fp32", int8_wins)
       .field("shape_count", shape_count)
       .end_object();
-  ag::kernels::set_backend(previous);
   return json.str();
 }
 

@@ -1,4 +1,5 @@
-// Cache-blocked, register-tiled GEMM — the "blocked" convolution backend.
+// Cache-blocked, register-tiled GEMM — the kernels of the "blocked" solver
+// family.
 //
 // The classic three-level blocking scheme (BLIS/GotoBLAS style): the
 // operands are cut into Mc x Kc and Kc x Nc blocks that fit the cache
@@ -8,14 +9,8 @@
 // serve all three GEMM forms the convolution ops need (A*B, A^T*B, A*B^T)
 // without materializing transposes.
 //
-// Row-parallelism: when `BlockedGemmConfig::threads > 1` the rows of C are
-// split into contiguous chunks (aligned to the register tile) and each
-// chunk runs the full blocked loop on its own std::thread with private
-// packing buffers — no shared mutable state, so the path is trivially
-// race-free (pinned by the ThreadSanitizer leg of tools/run_tier1.sh).
-//
-// Selected at runtime through the backend registry in kernels.hpp
-// (`kernels::set_backend("blocked")`, env ROADFUSION_KERNEL_BACKEND).
+// The autograd backward GEMMs call these entry points directly; conv
+// forwards reach them through the per-shape solver registry (src/tune).
 #pragma once
 
 #include <cstdint>
@@ -37,26 +32,23 @@ struct BlockedGemmConfig {
   int64_t mc = 128;  ///< rows of A packed per block (L2 resident)
   int64_t kc = 384;  ///< reduction depth per block (panel height)
   int64_t nc = 4096; ///< columns of B per block (streamed in kNr panels)
-  int threads = 1;   ///< row-parallel workers; 1 = run on the caller
 };
 
 /// Mutable process-wide blocking configuration. Mutate only while no GEMM
-/// is in flight (tests and benches tune it between runs); the defaults are
-/// read concurrently by worker threads, which is safe because reads do not
-/// mutate.
+/// is in flight (tests and benches tune it between runs); concurrent reads
+/// from serving threads are safe because reads do not mutate.
 BlockedGemmConfig& blocked_gemm_config();
 
-/// Register-tile row height of the micro-kernel. Row-parallel work splits
-/// in multiples of this, so a solver is only worth `threads` workers when
-/// M covers at least `threads * kMicroTileRows` rows.
+/// Register-tile row height of the micro-kernel. The blocked solvers only
+/// offer themselves when M covers at least one full tile.
 inline constexpr int64_t kMicroTileRows = 4;
 
 /// C = A * B with A (m, k), B (k, n), both row-major.
 Tensor blocked_matmul(const Tensor& a, const Tensor& b);
 
 /// Same, under an explicit blocking configuration instead of the process
-/// global — the solver registry runs per-shape tuned Mc/Kc/Nc/threads
-/// through this without mutating state other callers read.
+/// global — the solver registry runs per-shape tuned Mc/Kc/Nc through this
+/// without mutating state other callers read.
 Tensor blocked_matmul(const Tensor& a, const Tensor& b,
                       const BlockedGemmConfig& config);
 

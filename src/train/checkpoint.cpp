@@ -157,12 +157,19 @@ bool train_or_load(roadseg::RoadSegNet& net, const RoadDataset& dataset,
        cache_key(net.config(), dataset.config(), config))
           .string();
   if (std::filesystem::exists(path)) {
-    load_model(net, path);
-    log_info("loaded cached model: ", path);
-    return false;
+    // load_model validates the whole file before touching `net`, so a
+    // failed load leaves the fresh initialization intact for training.
+    try {
+      load_model(net, path);
+      log_info("loaded cached model: ", path);
+      return false;
+    } catch (const CheckpointError& error) {
+      log_info("ignoring unusable cached model (", error.what(),
+               "); retraining");
+    }
   }
   log_info("training ", core::to_string(net.config().scheme),
-           " (no cache hit at ", path, ")");
+           " (no usable cache entry at ", path, ")");
   fit(net, dataset, config);
   save_model(net, path);
   return true;

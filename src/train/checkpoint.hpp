@@ -43,8 +43,11 @@ std::string cache_key(const roadseg::RoadSegConfig& net_config,
                       const TrainConfig& train_config);
 
 /// Loads the checkpoint if `cache_dir` holds one for this configuration;
-/// otherwise trains the network and saves it. Returns true when training
-/// actually ran. An empty `cache_dir` always trains.
+/// otherwise trains the network and saves it. A cache file that fails to
+/// load (CheckpointError: truncated, corrupt, stale format) counts as a
+/// miss: the reason is logged, the network retrains and the file is
+/// overwritten. Returns true when training actually ran. An empty
+/// `cache_dir` always trains.
 bool train_or_load(roadseg::RoadSegNet& net, const RoadDataset& dataset,
                    const TrainConfig& config, const std::string& cache_dir);
 

@@ -69,7 +69,7 @@ PerfDbLoad parse_perf_db(const std::string& text);
 
 /// Signature of the running machine, stamped into the DB header:
 /// architecture, SIMD level the kernels were compiled for, and the core
-/// count (blocking and threading winners depend on all three).
+/// count (blocking winners depend on all three).
 std::string cpu_signature();
 
 }  // namespace roadfusion::tune

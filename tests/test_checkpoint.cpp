@@ -210,6 +210,32 @@ TEST_F(CheckpointTest, TrainOrLoadTrainsThenCaches) {
                   .allclose(net.predict(sample.rgb, sample.depth), 1e-6f));
 }
 
+TEST_F(CheckpointTest, TrainOrLoadRetrainsOverUnreadableCacheFile) {
+  RoadDataset dataset(data_config(), Split::kTrain);
+  TrainConfig config;
+  config.epochs = 1;
+  config.batch_size = 4;
+  Rng rng(7);
+  RoadSegNet net(net_config(), rng);
+  const std::string path =
+      (dir_ / cache_key(net.config(), dataset.config(), config)).string();
+  {
+    // An RFC1 payload whose entry-count field is one byte short, as in a
+    // damaged cache entry: every later read is shifted.
+    std::ofstream out(path, std::ios::binary);
+    out.write("RFC1\0\0\0\x14\0\0\0rgb.stem.conv.weight", 31);
+  }
+  EXPECT_THROW(load_model(net, path), CheckpointError);
+  EXPECT_TRUE(train_or_load(net, dataset, config, dir_.string()))
+      << "an unreadable cache file must count as a miss";
+
+  // The overwritten entry now loads, and a second call is a hit.
+  Rng rng2(8);
+  RoadSegNet net2(net_config(), rng2);
+  EXPECT_NO_THROW(load_model(net2, path));
+  EXPECT_FALSE(train_or_load(net2, dataset, config, dir_.string()));
+}
+
 TEST_F(CheckpointTest, EmptyCacheDirAlwaysTrains) {
   RoadDataset dataset(data_config(), Split::kTrain);
   TrainConfig config;

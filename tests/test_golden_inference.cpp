@@ -1,18 +1,20 @@
 // Golden end-to-end regression: RoadSegNet::predict on a fixed-seed
 // network and scene must produce the same thresholded road mask under the
-// reference and blocked kernel backends, and that mask must match a
-// checked-in checksum. The probability maps themselves may differ in the
-// last float bits between backends (different accumulation orders), but
-// the >= 0.5 decision mask is far from any threshold crossing at these
-// seeds, so it is bit-stable — any change to conv semantics, the encoder
-// topology, or the RNG stream trips this test.
+// shipped default solver bindings and under every forced solver, and that
+// mask must match a checked-in checksum. The probability maps themselves
+// may differ in the last float bits between solvers (the AVX2 kernel
+// contracts multiply-adds), but the >= 0.5 decision mask is far from any
+// threshold crossing at these seeds, so it is bit-stable — any change to
+// conv semantics, the encoder topology, or the RNG stream trips this test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
-#include "autograd/kernels.hpp"
+#include "autograd/gemm.hpp"
 #include "common/cpu.hpp"
 #include "core/fusion_scheme.hpp"
 #include "plan/plan.hpp"
@@ -43,11 +45,12 @@ uint64_t fnv1a(const std::vector<uint8_t>& bytes) {
 // run this test and copy the hash printed in the failure message.
 constexpr uint64_t kGoldenMaskHash = 0x680d27ae7ceb1800ull;
 
-std::vector<uint8_t> predict_mask_scheme(const std::string& backend,
+/// Thresholded predict mask with `solver` forced ("" = the shipped default
+/// bindings: no perf DB, no forced solver).
+std::vector<uint8_t> predict_mask_scheme(const std::string& solver,
                                          core::FusionScheme scheme,
                                          bool int8_mode) {
-  const std::string previous = autograd::kernels::backend_name();
-  autograd::kernels::set_backend(backend);
+  tune::force_solver(solver);
   if (int8_mode) {
     // Empty scale table: every conv quantizes activations dynamically
     // from its own absmax — fully deterministic, no calibration input.
@@ -72,32 +75,34 @@ std::vector<uint8_t> predict_mask_scheme(const std::string& backend,
   if (int8_mode) {
     quant::set_enabled(false);
   }
-  autograd::kernels::set_backend(previous);
+  tune::force_solver("");
   return mask;
 }
 
-std::vector<uint8_t> predict_mask(const std::string& backend) {
+std::vector<uint8_t> predict_mask(const std::string& solver) {
   RoadSegConfig defaults;
-  return predict_mask_scheme(backend, defaults.scheme, /*int8_mode=*/false);
+  return predict_mask_scheme(solver, defaults.scheme, /*int8_mode=*/false);
 }
 
-TEST(GoldenInference, MaskBitStableAcrossBackends) {
-  const std::vector<uint8_t> reference = predict_mask("reference");
-  const std::vector<uint8_t> blocked = predict_mask("blocked");
-  ASSERT_EQ(reference.size(), blocked.size());
-  EXPECT_EQ(reference, blocked)
-      << "thresholded masks must be identical across kernel backends";
+TEST(GoldenInference, MaskBitStableAgainstReferenceOracles) {
+  const std::vector<uint8_t> shipped = predict_mask("");
+  for (const char* oracle : {"reference", "tconv_reference"}) {
+    SCOPED_TRACE(oracle);
+    const std::vector<uint8_t> forced = predict_mask(oracle);
+    ASSERT_EQ(shipped.size(), forced.size());
+    EXPECT_EQ(shipped, forced)
+        << "the forced reference oracle must reproduce the shipped mask";
+  }
 }
 
 TEST(GoldenInference, MaskMatchesCheckedInChecksum) {
-  const std::vector<uint8_t> reference = predict_mask("reference");
-  const uint64_t hash = fnv1a(reference);
+  const std::vector<uint8_t> shipped = predict_mask("");
+  const uint64_t hash = fnv1a(shipped);
   EXPECT_EQ(hash, kGoldenMaskHash)
       << "mask hash changed: 0x" << std::hex << hash
       << " — if the architecture or RNG stream changed intentionally, "
          "update kGoldenMaskHash";
-  const std::vector<uint8_t> blocked = predict_mask("blocked");
-  EXPECT_EQ(fnv1a(blocked), kGoldenMaskHash);
+  EXPECT_EQ(fnv1a(predict_mask("reference")), kGoldenMaskHash);
 }
 
 TEST(GoldenInference, MaskBitStableUnderEveryRegisteredSolver) {
@@ -108,9 +113,7 @@ TEST(GoldenInference, MaskBitStableUnderEveryRegisteredSolver) {
   // is exactly what production dispatch does.
   for (const std::string& name : tune::solver_names()) {
     SCOPED_TRACE(name);
-    tune::force_solver(name);
-    const std::vector<uint8_t> mask = predict_mask("blocked");
-    tune::force_solver("");
+    const std::vector<uint8_t> mask = predict_mask(name);
     EXPECT_EQ(fnv1a(mask), kGoldenMaskHash)
         << "solver '" << name << "' changes the golden mask";
   }
@@ -161,20 +164,18 @@ TEST(GoldenInference, MaskBitStableUnderCompiledPlan) {
 }
 
 TEST(GoldenInference, Int8MaskBitStableUnderForcedInt8Solvers) {
-  // Both int8 GEMMs accumulate in exact int32 with shared rounding, so
-  // forcing either one must reproduce the per-scheme int8 golden hashes.
+  // Every int8 GEMM accumulates in exact int32 with shared rounding, so
+  // forcing any one must reproduce the per-scheme int8 golden hashes.
   // int8_avx2 only exists as an applicable choice on AVX2 hosts.
-  std::vector<std::string> solvers = {"int8_blocked"};
+  std::vector<std::string> solvers = {"int8_reference", "int8_blocked"};
   if (common::active_tier() >= common::CpuTier::kAvx2) {
     solvers.push_back("int8_avx2");
   }
   for (const std::string& name : solvers) {
     for (const SchemeGolden& golden : kInt8GoldenMasks) {
       SCOPED_TRACE(name + "/" + golden.name);
-      tune::force_solver(name);
       const std::vector<uint8_t> mask =
-          predict_mask_scheme("blocked", golden.scheme, /*int8_mode=*/true);
-      tune::force_solver("");
+          predict_mask_scheme(name, golden.scheme, /*int8_mode=*/true);
       EXPECT_EQ(fnv1a(mask), golden.hash)
           << "solver '" << name << "' changes the int8 golden mask";
     }
@@ -184,13 +185,8 @@ TEST(GoldenInference, Int8MaskBitStableUnderForcedInt8Solvers) {
 TEST(GoldenInference, Int8MaskMatchesCheckedInChecksumPerScheme) {
   for (const SchemeGolden& golden : kInt8GoldenMasks) {
     SCOPED_TRACE(golden.name);
-    const std::vector<uint8_t> reference =
-        predict_mask_scheme("reference", golden.scheme, /*int8_mode=*/true);
-    const std::vector<uint8_t> blocked =
-        predict_mask_scheme("blocked", golden.scheme, /*int8_mode=*/true);
-    EXPECT_EQ(reference, blocked)
-        << "int8 masks must be identical across kernel backends";
-    const uint64_t hash = fnv1a(reference);
+    const uint64_t hash = fnv1a(
+        predict_mask_scheme("", golden.scheme, /*int8_mode=*/true));
     EXPECT_EQ(hash, golden.hash)
         << "int8 mask hash for scheme '" << golden.name << "' changed: 0x"
         << std::hex << hash
@@ -205,7 +201,7 @@ TEST(GoldenInference, Int8MaskDiffersFromFp32Golden) {
   // fp32 semantics, the quantized solvers silently stopped binding.
   RoadSegConfig defaults;
   const std::vector<uint8_t> int8_mask =
-      predict_mask_scheme("reference", defaults.scheme, /*int8_mode=*/true);
+      predict_mask_scheme("", defaults.scheme, /*int8_mode=*/true);
   // Same shape as the fp32 mask, still a nontrivial road segmentation.
   size_t road = 0;
   for (const uint8_t bit : int8_mask) {
@@ -217,14 +213,110 @@ TEST(GoldenInference, Int8MaskDiffersFromFp32Golden) {
 
 TEST(GoldenInference, MaskIsNontrivial) {
   // Guards the golden hash against degenerate all-road / no-road masks,
-  // which would make the backend comparison vacuous.
-  const std::vector<uint8_t> mask = predict_mask("reference");
+  // which would make the solver comparisons vacuous.
+  const std::vector<uint8_t> mask = predict_mask("");
   size_t road = 0;
   for (const uint8_t bit : mask) {
     road += bit;
   }
   EXPECT_GT(road, 0u);
   EXPECT_LT(road, mask.size());
+}
+
+// The shipped default (no perf DB, no forced solver) binds the blocked
+// family wherever one applies: the fused pre-packed solvers where the
+// caller holds packed weights, the blocked loops otherwise, and the
+// reference oracle only for graph-path problems narrower than one register
+// tile. Those bindings, the fp32 golden mask and the plan-vs-graph bitwise
+// contract (DESIGN.md §16) must hold at every CPU dispatch tier.
+std::string expected_default_solver(const tune::ConvProblem& p, bool packed) {
+  const std::string prefix = p.transposed ? "tconv_" : "";
+  if (packed &&
+      autograd::kernels::prepack_viable(p.gemm_m(), p.gemm_k())) {
+    return p.transposed ? "tconv_prepacked" : "blocked_prepacked";
+  }
+  if (p.gemm_m() >= autograd::kernels::kMicroTileRows) {
+    return prefix + "blocked";
+  }
+  return prefix + "reference";
+}
+
+/// Logits of one predict with planning disabled (ROADFUSION_PLAN=0 is
+/// re-read at every prepare_inference); leaves the net back on its
+/// compiled plan.
+Tensor graph_order_logits(RoadSegNet& net, const Tensor& rgb,
+                          const Tensor& depth) {
+  ::setenv("ROADFUSION_PLAN", "0", 1);
+  net.prepare_inference();
+  const Tensor logits = net.infer_logits(rgb, depth, 1.0f);
+  ::unsetenv("ROADFUSION_PLAN");
+  net.prepare_inference();
+  return logits;
+}
+
+TEST(GoldenInference, ShippedDefaultBindsBlockedFamilyAtEveryTier) {
+  plan::install_hooks();
+  tune::force_solver("");
+  tune::clear_perf_db();
+  const common::CpuTier saved = common::active_tier();
+  std::vector<std::string> first_bindings;
+  for (const common::CpuTier tier :
+       {common::CpuTier::kScalar, common::CpuTier::kSse2,
+        common::CpuTier::kAvx2}) {
+    SCOPED_TRACE(common::tier_name(tier));
+    common::set_active_tier(tier);
+
+    // Bindings of every conv problem of the shipped config, recorded from
+    // one graph-order predict at the bench resolution.
+    Rng rng(2022);
+    RoadSegNet shipped(RoadSegConfig{}, rng);
+    shipped.set_training(false);
+    Rng scene_rng(7);
+    const Tensor rgb = Tensor::uniform(Shape::nchw(1, 3, 32, 96), scene_rng);
+    const Tensor depth =
+        Tensor::uniform(Shape::nchw(1, 1, 32, 96), scene_rng);
+    tune::clear_recorded_problems();
+    tune::set_problem_recording(true);
+    (void)graph_order_logits(shipped, rgb, depth);
+    tune::set_problem_recording(false);
+    const std::vector<tune::ConvProblem> problems =
+        tune::recorded_problems();
+    tune::clear_recorded_problems();
+    ASSERT_FALSE(problems.empty());
+    std::vector<std::string> bindings;
+    for (const tune::ConvProblem& p : problems) {
+      for (const bool packed : {true, false}) {
+        const std::string solver = tune::bind(p, packed)->solver->name();
+        EXPECT_EQ(solver, expected_default_solver(p, packed))
+            << p.key() << (packed ? " (packed)" : " (graph path)");
+        bindings.push_back(p.key() + (packed ? "+packed=" : "=") + solver);
+      }
+    }
+    if (first_bindings.empty()) {
+      first_bindings = bindings;
+    } else {
+      EXPECT_EQ(bindings, first_bindings)
+          << "default bindings must not depend on the CPU tier";
+    }
+
+    EXPECT_EQ(fnv1a(predict_mask("")), kGoldenMaskHash);
+
+    Rng golden_rng(2022);
+    RoadSegConfig golden_config;
+    golden_config.stage_channels = {6, 8, 10, 12, 16};
+    RoadSegNet net(golden_config, golden_rng);
+    net.set_training(false);
+    net.prepare_inference();
+    const Tensor planned = net.infer_logits(rgb, depth, 1.0f);
+    const Tensor graph = graph_order_logits(net, rgb, depth);
+    ASSERT_EQ(planned.shape(), graph.shape());
+    EXPECT_EQ(std::memcmp(planned.raw(), graph.raw(),
+                          static_cast<size_t>(planned.numel()) *
+                              sizeof(float)),
+              0)
+        << "compiled plan differs from the graph-order path";
+  }
+  common::set_active_tier(saved);
 }
 
 }  // namespace

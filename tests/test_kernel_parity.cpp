@@ -1,12 +1,14 @@
-// Differential kernel-parity suite: the blocked GEMM backend must agree
-// with the reference backend on every conv geometry the repository can
-// express — forward, input gradient, and weight gradient — plus the three
-// raw GEMM forms at sizes that straddle the register-tile and cache-block
-// boundaries. A seeded fuzz loop sweeps ~200 random geometries on top of
-// the hand-picked grid.
+// Differential kernel-parity suite: the conv op — forward through the
+// shipped solver binding and through the forced reference oracle, input
+// and weight gradients through the blocked kernels — must agree with a
+// naive double-precision direct convolution on every conv geometry the
+// repository can express, and the three raw GEMM forms must agree with the
+// reference kernels at sizes that straddle the register-tile and
+// cache-block boundaries. A seeded fuzz loop sweeps ~200 random geometries
+// on top of the hand-picked grid.
 //
-// Tolerance: the reference matmul_bt accumulates in double while the
-// blocked kernel accumulates in float, so exact equality is out; parity is
+// Tolerance: the reference values accumulate in double while the kernels
+// accumulate in float, so exact equality is out; parity is
 // |diff| <= 1e-5 * max(1, max|reference|) elementwise.
 #include <gtest/gtest.h>
 
@@ -22,10 +24,10 @@
 #include "autograd/int8_gemm.hpp"
 #include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
-#include "common/check.hpp"
 #include "common/cpu.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
+#include "tune/dispatch.hpp"
 #include "tune/problem.hpp"
 #include "tune/solver.hpp"
 
@@ -38,20 +40,17 @@ using tensor::Tensor;
 
 constexpr float kTol = 1e-5f;
 
-/// Restores the active backend and the blocked-GEMM blocking parameters on
+/// Restores the forced solver and the blocked-GEMM blocking parameters on
 /// scope exit, so a failing test cannot leak state into later tests.
-class BackendGuard {
+class KernelStateGuard {
  public:
-  BackendGuard()
-      : backend_(kernels::backend_name()),
-        config_(kernels::blocked_gemm_config()) {}
-  ~BackendGuard() {
-    kernels::set_backend(backend_);
+  KernelStateGuard() : config_(kernels::blocked_gemm_config()) {}
+  ~KernelStateGuard() {
+    tune::force_solver("");
     kernels::blocked_gemm_config() = config_;
   }
 
  private:
-  std::string backend_;
   kernels::BlockedGemmConfig config_;
 };
 
@@ -84,14 +83,14 @@ struct ConvResult {
   Tensor y, dx, dw, db;
 };
 
-/// Runs conv2d forward + backward under `backend`. The loss is a fixed
-/// random weighting of the output (sum(y * r)) so every output position
-/// feeds a distinct gradient — a plain sum would hide kernels that permute
-/// output columns.
-ConvResult run_conv(const std::string& backend, const ConvCase& c,
+/// Runs conv2d forward + backward with `solver` forced ("" = the shipped
+/// default binding). The loss is a fixed random weighting of the output
+/// (sum(y * r)) so every output position feeds a distinct gradient — a
+/// plain sum would hide kernels that permute output columns.
+ConvResult run_conv(const std::string& solver, const ConvCase& c,
                     const Tensor& x_t, const Tensor& w_t, const Tensor& b_t,
                     const Tensor& weighting) {
-  kernels::set_backend(backend);
+  tune::force_solver(solver);
   Variable x = Variable::leaf(x_t, /*requires_grad=*/true);
   Variable w = Variable::leaf(w_t, /*requires_grad=*/true);
   Variable b = Variable::leaf(b_t, /*requires_grad=*/true);
@@ -101,9 +100,62 @@ ConvResult run_conv(const std::string& backend, const ConvCase& c,
   return {y.value(), x.grad(), w.grad(), b.grad()};
 }
 
+/// The same forward and gradients by direct summation in double: an oracle
+/// that shares no lowering or GEMM code with the op under test.
+ConvResult naive_conv(const ConvCase& c, const Tensor& x_t, const Tensor& w_t,
+                      const Tensor& b_t, const Tensor& weighting) {
+  const ConvGeometry geom{c.kernel, c.stride, c.padding};
+  const int64_t oh = geom.out_extent(c.h);
+  const int64_t ow = geom.out_extent(c.w);
+  const int64_t k = c.kernel;
+  std::vector<double> y(static_cast<size_t>(c.n * c.cout * oh * ow));
+  std::vector<double> dx(static_cast<size_t>(x_t.numel()));
+  std::vector<double> dw(static_cast<size_t>(w_t.numel()));
+  std::vector<double> db(static_cast<size_t>(c.cout));
+  for (int64_t n = 0; n < c.n; ++n) {
+    for (int64_t co = 0; co < c.cout; ++co) {
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          const int64_t yi = ((n * c.cout + co) * oh + oy) * ow + ox;
+          const double g = weighting.at(yi);
+          double acc = b_t.at(co);
+          for (int64_t ci = 0; ci < c.cin; ++ci) {
+            for (int64_t ky = 0; ky < k; ++ky) {
+              const int64_t iy = oy * c.stride + ky - c.padding;
+              for (int64_t kx = 0; kx < k; ++kx) {
+                const int64_t ix = ox * c.stride + kx - c.padding;
+                if (iy < 0 || iy >= c.h || ix < 0 || ix >= c.w) {
+                  continue;
+                }
+                const int64_t xi = ((n * c.cin + ci) * c.h + iy) * c.w + ix;
+                const int64_t wi = ((co * c.cin + ci) * k + ky) * k + kx;
+                acc += static_cast<double>(w_t.at(wi)) * x_t.at(xi);
+                dx[static_cast<size_t>(xi)] += g * w_t.at(wi);
+                dw[static_cast<size_t>(wi)] += g * x_t.at(xi);
+              }
+            }
+          }
+          y[static_cast<size_t>(yi)] = acc;
+          db[static_cast<size_t>(co)] += g;
+        }
+      }
+    }
+  }
+  auto to_tensor = [](const std::vector<double>& values, const Shape& shape) {
+    Tensor out(shape);
+    for (size_t i = 0; i < values.size(); ++i) {
+      out.at(static_cast<int64_t>(i)) = static_cast<float>(values[i]);
+    }
+    return out;
+  };
+  return {to_tensor(y, Shape::nchw(c.n, c.cout, oh, ow)),
+          to_tensor(dx, x_t.shape()), to_tensor(dw, w_t.shape()),
+          to_tensor(db, b_t.shape())};
+}
+
 void expect_conv_parity(const ConvCase& c) {
   SCOPED_TRACE(c.str());
-  BackendGuard guard;
+  KernelStateGuard guard;
   Rng rng(91);
   const Tensor x_t = Tensor::normal(Shape::nchw(c.n, c.cin, c.h, c.w), rng);
   const Tensor w_t =
@@ -114,13 +166,15 @@ void expect_conv_parity(const ConvCase& c) {
       Shape::nchw(c.n, c.cout, geom.out_extent(c.h), geom.out_extent(c.w)),
       rng);
 
-  const ConvResult reference =
-      run_conv("reference", c, x_t, w_t, b_t, weighting);
-  const ConvResult blocked = run_conv("blocked", c, x_t, w_t, b_t, weighting);
-  expect_allclose(reference.y, blocked.y, "forward");
-  expect_allclose(reference.dx, blocked.dx, "input-grad");
-  expect_allclose(reference.dw, blocked.dw, "weight-grad");
-  expect_allclose(reference.db, blocked.db, "bias-grad");
+  const ConvResult expected = naive_conv(c, x_t, w_t, b_t, weighting);
+  for (const char* solver : {"", "reference"}) {
+    SCOPED_TRACE(*solver == '\0' ? "default" : solver);
+    const ConvResult actual = run_conv(solver, c, x_t, w_t, b_t, weighting);
+    expect_allclose(expected.y, actual.y, "forward");
+    expect_allclose(expected.dx, actual.dx, "input-grad");
+    expect_allclose(expected.dw, actual.dw, "weight-grad");
+    expect_allclose(expected.db, actual.db, "bias-grad");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +283,7 @@ TEST(KernelParity, GemmBlockBoundaries) {
 TEST(KernelParity, GemmMultipleCacheBlocks) {
   // Shrink the cache blocks so a modest problem spans several Mc/Kc/Nc
   // iterations, exercising the packed multi-block accumulation path.
-  BackendGuard guard;
+  KernelStateGuard guard;
   kernels::BlockedGemmConfig& config = kernels::blocked_gemm_config();
   config.mc = 8;
   config.kc = 16;
@@ -239,24 +293,10 @@ TEST(KernelParity, GemmMultipleCacheBlocks) {
   expect_gemm_parity({9, 17, 25});
 }
 
-TEST(KernelParity, GemmThreadedRowSplit) {
-  BackendGuard guard;
-  kernels::blocked_gemm_config().threads = 4;
-  expect_gemm_parity({64, 50, 40});
-  expect_gemm_parity({6, 20, 30});   // fewer row tiles than workers
-  expect_gemm_parity({1, 300, 5});   // single row: collapses to one worker
-}
-
-TEST(KernelParity, ConvThreadedMatchesSingleThread) {
-  BackendGuard guard;
-  kernels::blocked_gemm_config().threads = 3;
-  expect_conv_parity({2, 8, 12, 32, 96, 3, 2, 1});
-}
-
 // ---------------------------------------------------------------------------
 // Solver registry parity: every registered solver (every tuned parameter
 // candidate) must agree with the reference matmul on the conv GEMM it
-// serves — the same contract the backend pair above satisfies, extended to
+// serves — the same contract the raw GEMM forms above satisfy, extended to
 // the per-shape solvers of src/tune/.
 // ---------------------------------------------------------------------------
 
@@ -564,42 +604,10 @@ TEST(KernelParity, TransposedSolversMatchReferenceGemm) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry semantics
-// ---------------------------------------------------------------------------
-
-TEST(KernelRegistry, BuiltinsRegistered) {
-  const std::vector<std::string> names = kernels::backend_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "reference"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "blocked"), names.end());
-}
-
-TEST(KernelRegistry, SetBackendRoundTrip) {
-  BackendGuard guard;
-  kernels::set_backend("blocked");
-  EXPECT_EQ(kernels::backend_name(), "blocked");
-  kernels::set_backend("reference");
-  EXPECT_EQ(kernels::backend_name(), "reference");
-}
-
-TEST(KernelRegistry, UnknownBackendThrows) {
-  EXPECT_THROW(kernels::set_backend("simd9000"), Error);
-}
-
-TEST(KernelRegistry, CannotReplaceActiveBackend) {
-  BackendGuard guard;
-  kernels::set_backend("reference");
-  kernels::GemmBackend impostor{"reference", &tensor::matmul,
-                                &tensor::matmul_at, &tensor::matmul_bt};
-  EXPECT_THROW(kernels::register_gemm_backend(impostor), Error);
-}
-
-// ---------------------------------------------------------------------------
 // im2col caching: forward columns must be reused by backward
 // ---------------------------------------------------------------------------
 
 TEST(Im2colCache, OneLoweringPerConvPerSamplePerStep) {
-  BackendGuard guard;
-  kernels::set_backend("blocked");
   Rng rng(5);
   const int64_t batch = 3;
   Variable x = Variable::leaf(

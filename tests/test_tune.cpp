@@ -16,12 +16,10 @@
 #include <vector>
 
 #include "autograd/gemm.hpp"
-#include "autograd/kernels.hpp"
 #include "common/check.hpp"
 #include "common/cpu.hpp"
 #include "obs/metrics.hpp"
 #include "roadseg/roadseg_net.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "tune/dispatch.hpp"
 #include "tune/perf_db.hpp"
@@ -37,22 +35,17 @@ using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
 
-/// Restores global dispatcher + backend state on scope exit so a failing
-/// test cannot leak a forced solver or a loaded DB into later tests.
+/// Restores global dispatcher state on scope exit so a failing test
+/// cannot leak a forced solver or a loaded DB into later tests.
 class DispatchGuard {
  public:
-  DispatchGuard() : backend_(ag::backend_name()) {}
   ~DispatchGuard() {
     force_solver("");
     clear_perf_db();
     clear_recorded_problems();
     set_problem_recording(false);
-    ag::set_backend(backend_);
     clear_binding_cache();
   }
-
- private:
-  std::string backend_;
 };
 
 /// Pins the CPU dispatch tier for a test body and restores it on exit.
@@ -198,7 +191,9 @@ TEST(ConvProblemKey, TransposedGemmDimensions) {
 TEST(SolverRegistry, BuiltinsRegistered) {
   const std::vector<std::string> names = solver_names();
   for (const char* expected : {"reference", "blocked", "blocked_prepacked",
-                               "blocked_mt2", "blocked_mt4"}) {
+                               "tconv_reference", "tconv_blocked",
+                               "tconv_prepacked", "int8_reference",
+                               "int8_blocked"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -427,67 +422,64 @@ TEST(PerfDbPersistence, MissingFileReportsNotFound) {
 // Binding resolution: heuristic, DB, forced
 // ---------------------------------------------------------------------------
 
-TEST(Dispatch, HeuristicFollowsLegacyBackendSwitch) {
+TEST(Dispatch, DefaultBindsCheapestEstimate) {
   DispatchGuard guard;
   clear_perf_db();
+  clear_binding_cache();
   const ConvProblem p = stage2_conv2();
-
-  ag::set_backend("reference");
-  clear_binding_cache();
-  const auto ref = bind(p, false);
-  ASSERT_NE(ref->solver, nullptr);
-  EXPECT_STREQ(ref->solver->name(), "reference");
-  EXPECT_EQ(ref->source, BindingSource::kHeuristic);
-
-  ag::set_backend("blocked");
-  clear_binding_cache();
   const auto blocked = bind(p, false);
   ASSERT_NE(blocked->solver, nullptr);
   EXPECT_STREQ(blocked->solver->name(), "blocked");
+  EXPECT_EQ(blocked->source, BindingSource::kHeuristic);
   const auto packed = bind(p, true);
   ASSERT_NE(packed->solver, nullptr);
   EXPECT_STREQ(packed->solver->name(), "blocked_prepacked")
       << "with packed weights on hand the fused pre-packed path is cheapest";
+  // Narrower than one register tile: only the reference oracle applies
+  // without packed weights.
+  ConvProblem narrow = p;
+  narrow.k = 1;
+  EXPECT_STREQ(bind(narrow, false)->solver->name(), "reference");
+  EXPECT_STREQ(bind(narrow, true)->solver->name(), "blocked_prepacked");
 }
 
-TEST(Dispatch, BackendSwitchInvalidatesBindingsWithoutManualClear) {
-  // Heuristic bindings are gated on the active backend; set_backend bumps
-  // kernels::backend_generation() and the dispatcher must drop its cache
-  // on its own — no clear_binding_cache() between the two binds here.
+TEST(Dispatch, ForcedReferenceOracleBinds) {
   DispatchGuard guard;
   clear_perf_db();
-  const ConvProblem p = stage2_conv2();
-
-  ag::set_backend("reference");
-  clear_binding_cache();
-  const auto ref = bind(p, false);
-  ASSERT_NE(ref->solver, nullptr);
-  EXPECT_STREQ(ref->solver->name(), "reference");
-
-  ag::set_backend("blocked");
-  const auto blocked = bind(p, false);
-  ASSERT_NE(blocked->solver, nullptr);
-  EXPECT_STREQ(blocked->solver->name(), "blocked")
-      << "a backend switch must invalidate cached bindings automatically";
+  force_solver("reference");
+  const auto binding = bind(stage2_conv2(), true);
+  ASSERT_NE(binding->solver, nullptr);
+  EXPECT_STREQ(binding->solver->name(), "reference");
+  EXPECT_EQ(binding->source, BindingSource::kForced);
 }
 
-TEST(Dispatch, Int8ProblemsBindCheapestInt8SolverUnderAnyBackend) {
-  // The legacy backend gate only governs fp32 solver choice; an int8
-  // problem key has exactly the int8 family to choose from, so the
-  // cheapest one binds even while the reference backend is pinned.
+TEST(Dispatch, Int8ProblemsBindCheapestInt8Solver) {
   DispatchGuard guard;
   clear_perf_db();
   ConvProblem p = stage2_conv2();
   p.dtype = "int8";
-  for (const char* backend : {"reference", "blocked"}) {
-    SCOPED_TRACE(backend);
-    ag::set_backend(backend);
-    const auto binding = bind(p, false);
-    ASSERT_NE(binding->solver, nullptr);
-    // int8_avx2 never wins the heuristic (priced like the threaded
-    // solvers); the cheapest heuristic-eligible choice stays int8_blocked
-    // at every tier.
-    EXPECT_STREQ(binding->solver->name(), "int8_blocked");
+  const auto binding = bind(p, false);
+  ASSERT_NE(binding->solver, nullptr);
+  // int8_avx2 never wins the estimate; the cheapest estimate-eligible
+  // choice stays int8_blocked at every tier.
+  EXPECT_STREQ(binding->solver->name(), "int8_blocked");
+}
+
+TEST(Dispatch, UnrunnableProblemIsAnError) {
+  // No solver can run an int8 problem beyond the exact-accumulation depth
+  // cap: bind() must say so, naming the problem, rather than hand back an
+  // empty binding.
+  DispatchGuard guard;
+  clear_perf_db();
+  ConvProblem p = stage2_conv2();
+  p.dtype = "int8";
+  p.c = 200;
+  try {
+    bind(p, true);
+    FAIL() << "bind() accepted a problem no solver can run";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find(p.key()), std::string::npos)
+        << error.what();
   }
 }
 
@@ -496,7 +488,6 @@ TEST(Dispatch, TierSwitchInvalidatesBindingsWithoutManualClear) {
     GTEST_SKIP() << "host has no AVX2 tier to switch between";
   }
   DispatchGuard guard;
-  ag::set_backend("blocked");
   // A DB record naming blocked_avx2: usable only while the active tier
   // reaches kAvx2. Dropping the tier must invalidate the cached binding
   // (no manual clear) and fall back to the heuristic choice.
@@ -513,7 +504,7 @@ TEST(Dispatch, TierSwitchInvalidatesBindingsWithoutManualClear) {
   EXPECT_STREQ(bind(p, true)->solver->name(), "blocked_avx2");
 }
 
-TEST(Dispatch, TransposedProblemsFollowBackendLikeForwardOnes) {
+TEST(Dispatch, TransposedProblemsBindTconvFamily) {
   DispatchGuard guard;
   clear_perf_db();
   ConvProblem p;
@@ -527,24 +518,22 @@ TEST(Dispatch, TransposedProblemsFollowBackendLikeForwardOnes) {
   p.stride = 2;
   p.pad = 0;
 
-  ag::set_backend("reference");
-  const auto ref = bind(p, false);
-  ASSERT_NE(ref->solver, nullptr);
-  EXPECT_STREQ(ref->solver->name(), "tconv_reference");
-
-  ag::set_backend("blocked");
   const auto unpacked = bind(p, false);
   ASSERT_NE(unpacked->solver, nullptr);
   EXPECT_STREQ(unpacked->solver->name(), "tconv_blocked");
   const auto packed = bind(p, true);
   ASSERT_NE(packed->solver, nullptr);
   EXPECT_STREQ(packed->solver->name(), "tconv_prepacked");
+
+  force_solver("tconv_reference");
+  const auto oracle = bind(p, true);
+  ASSERT_NE(oracle->solver, nullptr);
+  EXPECT_STREQ(oracle->solver->name(), "tconv_reference");
 }
 
 TEST(Dispatch, DatabaseRecordOverridesHeuristic) {
   DispatchGuard guard;
   const ConvProblem p = stage2_conv2();
-  ag::set_backend("blocked");
   clear_perf_db();
   const auto before = bind(p, true);
   ASSERT_NE(before->solver, nullptr);
@@ -563,7 +552,6 @@ TEST(Dispatch, DatabaseRecordOverridesHeuristic) {
 TEST(Dispatch, DatabaseParamsReachTheBinding) {
   DispatchGuard guard;
   const ConvProblem p = stage2_conv2();
-  ag::set_backend("blocked");
   PerfDb db;
   db.set(p.key(), {"blocked", "mc=64,nc=1024", 10.0});
   set_perf_db(std::move(db));
@@ -576,7 +564,6 @@ TEST(Dispatch, DatabaseParamsReachTheBinding) {
 TEST(Dispatch, DbRecordNamingUnknownSolverFallsBackToHeuristic) {
   DispatchGuard guard;
   const ConvProblem p = stage2_conv2();
-  ag::set_backend("blocked");
   PerfDb db;
   db.set(p.key(), {"solver_from_the_future", "", 99.0});
   set_perf_db(std::move(db));
@@ -588,7 +575,6 @@ TEST(Dispatch, DbRecordNamingUnknownSolverFallsBackToHeuristic) {
 TEST(Dispatch, ForcedSolverWinsOverDatabase) {
   DispatchGuard guard;
   const ConvProblem p = stage2_conv2();
-  ag::set_backend("blocked");
   PerfDb db;
   db.set(p.key(), {"blocked", "", 10.0});
   set_perf_db(std::move(db));
@@ -610,7 +596,6 @@ TEST(Dispatch, ForcingUnknownSolverThrows) {
 TEST(Dispatch, ForcedSolverNotApplicableFallsBack) {
   DispatchGuard guard;
   clear_perf_db();
-  ag::set_backend("blocked");
   force_solver("blocked_prepacked");
   const ConvProblem p = stage2_conv2();
   const auto binding = bind(p, false);  // no packed weights on hand
@@ -619,28 +604,9 @@ TEST(Dispatch, ForcedSolverNotApplicableFallsBack) {
   EXPECT_EQ(binding->source, BindingSource::kHeuristic);
 }
 
-TEST(Dispatch, UnmanagedBackendYieldsNullBinding) {
-  DispatchGuard guard;
-  clear_perf_db();
-  // A third-party GemmBackend registration has no solver wrapper; the
-  // dispatcher must step aside so the legacy path runs it.
-  static bool registered = [] {
-    ag::register_gemm_backend({"tune_test_custom", &tensor::matmul,
-                               &tensor::matmul_at, &tensor::matmul_bt});
-    return true;
-  }();
-  (void)registered;
-  ag::set_backend("tune_test_custom");
-  clear_binding_cache();
-  const auto binding = bind(stage2_conv2(), false);
-  EXPECT_EQ(binding->solver, nullptr);
-  EXPECT_EQ(binding->source, BindingSource::kNone);
-}
-
 TEST(Dispatch, SelectionCounterIsExported) {
   DispatchGuard guard;
   clear_perf_db();
-  ag::set_backend("blocked");
   clear_binding_cache();
   bind(stage2_conv2(), false);
   const std::string text = obs::MetricsRegistry::global().render_prometheus();
@@ -651,7 +617,6 @@ TEST(Dispatch, SelectionCounterIsExported) {
 TEST(Dispatch, ProblemRecordingCollectsUniqueShapes) {
   DispatchGuard guard;
   clear_perf_db();
-  ag::set_backend("blocked");
   clear_recorded_problems();
   set_problem_recording(true);
   const ConvProblem a = stage2_conv2();
@@ -673,7 +638,6 @@ TEST(Dispatch, ProblemRecordingCollectsUniqueShapes) {
 
 TEST(DispatchConcurrency, ParallelBindersSurviveDbSwaps) {
   DispatchGuard guard;
-  ag::set_backend("blocked");
   clear_perf_db();
   constexpr int kBinders = 4;
   constexpr int kItersPerBinder = 400;
@@ -710,7 +674,7 @@ TEST(DispatchConcurrency, ParallelBindersSurviveDbSwaps) {
   stop.store(true, std::memory_order_relaxed);
   swapper.join();
   EXPECT_EQ(null_bindings.load(), 0)
-      << "backend 'blocked' must always resolve to a real solver";
+      << "the default selection must always resolve to a real solver";
 }
 
 // ---------------------------------------------------------------------------
@@ -798,7 +762,8 @@ TEST(SolverParity, BlockedFamilyIsBitIdenticalToBlockedDefault) {
   // The numerical contract that keeps the golden hash stable across DB
   // contents: every blocked-family solver and every tuned parameter set
   // must produce bit-identical output (Kc candidates are clamped to cover
-  // the reduction in one block).
+  // the reduction in one block). The reference oracle shares the
+  // per-element accumulation order, so it is bit-identical here too.
   ConvProblem p;
   p.c = 12;
   p.h = 16;
@@ -824,8 +789,7 @@ TEST(SolverParity, BlockedFamilyIsBitIdenticalToBlockedDefault) {
     return out;
   };
   const Tensor baseline = run_solver("blocked", "");
-  for (const char* name :
-       {"blocked", "blocked_prepacked", "blocked_mt2", "blocked_mt4"}) {
+  for (const char* name : {"blocked", "blocked_prepacked", "reference"}) {
     const Solver* solver = find_solver(name);
     ASSERT_NE(solver, nullptr);
     for (const std::string& params : solver->search_space(p)) {
@@ -889,7 +853,6 @@ TEST(Tuner, TuneProblemsRecordsOneWinnerPerKey) {
 
 TEST(TuneEndToEnd, PerfDbRebindsNetworkConvsBitExactly) {
   DispatchGuard guard;
-  ag::set_backend("blocked");
   clear_perf_db();
   clear_binding_cache();
 

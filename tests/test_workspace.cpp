@@ -3,7 +3,7 @@
 // Locks the pieces of the planned inference path together:
 //  * bit-exactness — the raw no-graph path (planned predict) produces the
 //    same float bits as the Variable-graph path for every fusion scheme,
-//    fusion weight and kernel backend;
+//    fusion weight and forced conv solver;
 //  * the workspace planner — a dry run's plan is deterministic, a
 //    reserved arena replays the workload hit-only, and best-fit reuse
 //    serves smaller batches from a larger batch's arena;
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "alloc_hooks.hpp"
-#include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
 #include "core/fusion_scheme.hpp"
 #include "nn/module.hpp"
@@ -31,6 +30,7 @@
 #include "runtime/engine.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/workspace.hpp"
+#include "tune/dispatch.hpp"
 
 namespace roadfusion::roadseg {
 namespace {
@@ -87,33 +87,34 @@ Tensor graph_predict(const RoadSegNet& net, const Scene& scene,
   return autograd::sigmoid(result.logits).value();
 }
 
-class BackendGuard {
+/// Forces a conv solver for the scope ("" = the shipped default binding).
+class SolverGuard {
  public:
-  explicit BackendGuard(const std::string& backend)
-      : previous_(autograd::kernels::backend_name()) {
-    autograd::kernels::set_backend(backend);
+  explicit SolverGuard(const std::string& solver) {
+    tune::force_solver(solver);
   }
-  ~BackendGuard() { autograd::kernels::set_backend(previous_); }
-
- private:
-  std::string previous_;
+  ~SolverGuard() { tune::force_solver(""); }
 };
+
+std::string solver_label(const std::string& solver) {
+  return solver.empty() ? "default" : solver;
+}
 
 // ---------------------------------------------------------------------------
 // Bit-exactness of the raw path against the Variable graph
 // ---------------------------------------------------------------------------
 
-TEST(PlannedInference, BitExactAcrossSchemesWeightsAndBackends) {
+TEST(PlannedInference, BitExactAcrossSchemesWeightsAndSolvers) {
   const Scene scene = make_scene(7);
-  for (const char* backend : {"reference", "blocked"}) {
-    const BackendGuard guard(backend);
+  for (const char* solver : {"", "reference", "blocked", "tconv_reference"}) {
+    const SolverGuard guard(solver);
     for (const core::FusionScheme scheme : core::all_fusion_schemes()) {
       Rng rng(2022);
       RoadSegNet net(small_config(scheme), rng);
       net.set_training(false);
       ASSERT_TRUE(net.supports_raw_inference());
       for (const float weight : {1.0f, 0.5f, 0.0f}) {
-        const std::string what = std::string(backend) + "/scheme" +
+        const std::string what = solver_label(solver) + "/scheme" +
                                  std::to_string(static_cast<int>(scheme)) +
                                  "/w" + std::to_string(weight);
         const Tensor graph = graph_predict(net, scene, weight);
@@ -141,7 +142,6 @@ TEST(PlannedInference, RawPathRequiresEvalMode) {
 // ---------------------------------------------------------------------------
 
 TEST(WorkspacePlanner, PlanSnapshotIsDeterministic) {
-  const BackendGuard guard("blocked");
   Rng rng(11);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -165,7 +165,6 @@ TEST(WorkspacePlanner, PlanSnapshotIsDeterministic) {
 }
 
 TEST(WorkspacePlanner, SecondPassDrawsEveryBlockFromTheArena) {
-  const BackendGuard guard("blocked");
   Rng rng(11);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -185,7 +184,6 @@ TEST(WorkspacePlanner, SecondPassDrawsEveryBlockFromTheArena) {
 }
 
 TEST(WorkspacePlanner, ReservedArenaReplaysTheWorkloadHitOnly) {
-  const BackendGuard guard("blocked");
   Rng rng(11);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -212,7 +210,6 @@ TEST(WorkspacePlanner, ReservedArenaReplaysTheWorkloadHitOnly) {
 }
 
 TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
-  const BackendGuard guard("blocked");
   Rng rng(11);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -243,8 +240,8 @@ TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
 
 TEST(ZeroAllocation, SteadyStatePredictAllocatesNothing) {
   const Scene scene = make_scene(7);
-  for (const char* backend : {"reference", "blocked"}) {
-    const BackendGuard guard(backend);
+  for (const char* solver : {"", "reference"}) {
+    const SolverGuard guard(solver);
     for (const core::FusionScheme scheme :
          {core::FusionScheme::kBaseline,
           core::FusionScheme::kWeightedSharing}) {
@@ -260,7 +257,8 @@ TEST(ZeroAllocation, SteadyStatePredictAllocatesNothing) {
         const Tensor out = net.predict(scene.rgb, scene.depth);
         const auto counters = thread_alloc_counters();
         EXPECT_EQ(counters.allocations, 0u)
-            << backend << "/scheme" << static_cast<int>(scheme) << " pass "
+            << solver_label(solver) << "/scheme" << static_cast<int>(scheme)
+            << " pass "
             << pass << " allocated " << counters.allocations << " times ("
             << counters.bytes << " bytes)";
         expect_bitwise_equal(expected, out, "steady-state output");
@@ -270,7 +268,6 @@ TEST(ZeroAllocation, SteadyStatePredictAllocatesNothing) {
 }
 
 TEST(ZeroAllocation, DegradedRgbOnlyPredictAllocatesNothing) {
-  const BackendGuard guard("blocked");
   Rng rng(2022);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -291,7 +288,6 @@ TEST(ZeroAllocation, DegradedRgbOnlyPredictAllocatesNothing) {
 // ---------------------------------------------------------------------------
 
 TEST(PrepackCache, CheckpointReloadRebuildsPackedWeights) {
-  const BackendGuard guard("blocked");
   const Scene scene = make_scene(7);
   Rng rng_a(1);
   RoadSegNet model_a(small_config(), rng_a);
@@ -314,7 +310,7 @@ TEST(PrepackCache, CheckpointReloadRebuildsPackedWeights) {
   expect_bitwise_equal(after, b_output, "post-reload predict");
 }
 
-TEST(PrepackCache, CountersAdvancePerBackend) {
+TEST(PrepackCache, CountersAdvancePerSolver) {
   const Scene scene = make_scene(7);
   Rng rng(2022);
   RoadSegNet net(small_config(), rng);
@@ -323,23 +319,21 @@ TEST(PrepackCache, CountersAdvancePerBackend) {
   auto& hits = registry.counter("roadfusion_prepack_hits");
   auto& misses = registry.counter("roadfusion_prepack_misses");
   {
-    const BackendGuard guard("blocked");
     const uint64_t hits_before = hits.value();
     (void)net.predict(scene.rgb, scene.depth);
     EXPECT_GT(hits.value(), hits_before)
-        << "blocked-backend predict must serve convs from the packed cache";
+        << "default predict must serve convs from the packed cache";
   }
   {
-    const BackendGuard guard("reference");
+    const SolverGuard guard("reference");
     const uint64_t misses_before = misses.value();
     (void)net.predict(scene.rgb, scene.depth);
     EXPECT_GT(misses.value(), misses_before)
-        << "reference-backend predict must count fallback convs";
+        << "forced-reference predict must count per-call-packing convs";
   }
 }
 
 TEST(ArenaMetrics, GaugesReflectLiveWorkspaces) {
-  const BackendGuard guard("blocked");
   Rng rng(2022);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -382,7 +376,6 @@ TEST(EngineIntegration, WorkersServeBitIdenticalResultsFromArenas) {
   runtime::EngineConfig config;
   config.threads = 2;
   config.max_batch = 2;
-  config.kernel_backend = "blocked";
   runtime::InferenceEngine engine(net, config);
 
   constexpr int kScenes = 6;

@@ -5,8 +5,7 @@
 #   tools/run_tier1.sh --tsan     # additionally build the runtime + fault
 #                                 # tolerance + kernel parity + observability
 #                                 # tests under ThreadSanitizer and run them
-#                                 # (parity runs the threaded blocked-GEMM
-#                                 # path; tracing/metrics are lock-free hot
+#                                 # (tracing/metrics are lock-free hot
 #                                 # paths)
 #   tools/run_tier1.sh --asan     # additionally build the kernel parity +
 #                                 # golden + fault tolerance + workspace
@@ -204,7 +203,7 @@ if [[ "$tune_smoke" == 1 ]]; then
   # One synthetic scene through serving with the DB: the reload line must
   # appear and the per-solver selection counter must be exported.
   metrics="$(cd build && ./tools/roadfusion metrics-dump --count 1 \
-      --kernel-backend blocked --perf-db tune_smoke.db 2>&1)"
+      --perf-db tune_smoke.db 2>&1)"
   echo "$metrics" | grep -q 'reloaded [1-9][0-9]* tuned record' ||
     { echo "tune smoke: serving did not reload the DB" >&2; exit 1; }
   echo "$metrics" | grep -q 'roadfusion_solver_selected_total{solver=' ||
@@ -217,8 +216,7 @@ if [[ "$quant_smoke" == 1 ]]; then
   cmake --build build -j --target roadfusion
   quant_table="build/quant_smoke.table"
   rm -f "$quant_table" "$quant_table.tmp"
-  (cd build && ./tools/roadfusion calibrate --out quant_smoke.table --cap 2 \
-      --kernel-backend blocked)
+  (cd build && ./tools/roadfusion calibrate --out quant_smoke.table --cap 2)
   [[ -s "$quant_table" ]] || { echo "quant smoke: $quant_table missing or empty" >&2; exit 1; }
   [[ ! -e "$quant_table.tmp" ]] || { echo "quant smoke: stale $quant_table.tmp left behind" >&2; exit 1; }
   head -1 "$quant_table" | grep -q '^RFQT1$' ||
@@ -226,7 +224,7 @@ if [[ "$quant_smoke" == 1 ]]; then
   # One synthetic scene served under --quant: int8 must be announced and
   # the int8 solvers must actually bind.
   metrics="$(cd build && ./tools/roadfusion metrics-dump --count 1 \
-      --kernel-backend blocked --quant quant_smoke.table 2>&1)"
+      --quant quant_smoke.table 2>&1)"
   echo "$metrics" | grep -q 'quant: int8 inference enabled' ||
     { echo "quant smoke: serving did not enable int8" >&2; exit 1; }
   echo "$metrics" | grep -q 'roadfusion_solver_selected_total{solver="int8_' ||
