@@ -7,29 +7,29 @@
 //  * Fusion-filters add inference work (Sec. IV-B), while Layer-sharing
 //    does not change MACs — shown by the per-scheme latency table.
 //
-// Since DESIGN.md §11 it also quantifies the zero-allocation steady
-// state: the graph predict path (the pre-§11 implementation: Variable
-// graph, per-call heap allocations) against the planned path (raw
-// forward inside a workspace arena, pre-packed weights, fused
-// epilogues), with per-call heap-allocation counts measured by the
-// operator-new hooks from tests/alloc_hooks.cpp.
-//
-// Since DESIGN.md §16 a third "compiled" row runs the same predict
-// through the inference plan compiler (blocked NCHWc8 layout, fused
-// cross-layer epilogues, minimal buffer schedule). Every row runs the
-// shipped kernel selection (no forced solver, no perf DB), and the JSON
-// records the host fingerprint plus the solver that same selection binds
-// for every recorded graph-order conv layer.
+// It also quantifies the zero-allocation steady state (DESIGN.md §11,
+// §16): the graph path (the autograd graph of `forward_fused` plus the
+// graph sigmoid — per-call heap allocations) against the compiled plan in
+// each serving mode — fused predict, RGB-only (fusion weight 0), stream
+// hit (cached depth features) and int8 (quantized mode, dynamic scales,
+// the plan's NCHW layout). Each row reports the median, p10 and p90 of
+// per-trial mean latencies over interleaved trials, plus per-call heap
+// allocations measured by the operator-new hooks from
+// tests/alloc_hooks.cpp. Every row runs the shipped kernel selection (no
+// forced solver, no perf DB), and the JSON records the host fingerprint
+// plus the solver that selection binds for every conv layer of the graph.
 //
 // Flags:
 //   --smoke        seconds-fast mode: path comparison only, few repeats,
 //                  an untrained (seeded) model — used by tools/run_tier1.sh
 //   --json FILE    also write the machine-readable result (the committed
 //                  BENCH_latency.json) to FILE
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,7 +37,7 @@
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
 #include "bench_common.hpp"
-#include "plan/plan.hpp"
+#include "quant/runtime.hpp"
 #include "tensor/shape.hpp"
 #include "tune/dispatch.hpp"
 #include "tune/problem.hpp"
@@ -62,8 +62,8 @@ double measure_latency_ms(roadseg::SegmentationModel& net,
          repeats;
 }
 
-/// The graph predict path — the exact op sequence `predict` ran before
-/// the planned path existed: build the Variable graph, sigmoid, reshape.
+/// The graph path: the autograd graph of `forward_fused`, then the graph
+/// sigmoid — the semantic reference every plan row reproduces bitwise.
 tensor::Tensor graph_predict(const roadseg::SegmentationModel& net,
                              const tensor::Tensor& rgb,
                              const tensor::Tensor& depth) {
@@ -77,17 +77,36 @@ tensor::Tensor graph_predict(const roadseg::SegmentationModel& net,
   return autograd::sigmoid(result.logits).value();
 }
 
-/// One path cell of the steady-state comparison.
-struct PathMeasurement {
-  double latency_ms = 0.0;
-  double allocs_per_call = 0.0;
-  double bytes_per_call = 0.0;
+/// One row of the steady-state comparison: per-trial mean latencies and
+/// the heap traffic of every timed call.
+struct PathRow {
+  std::string path;
+  std::vector<double> trial_ms;
+  uint64_t calls = 0;
+  uint64_t allocations = 0;
+  uint64_t bytes = 0;
+
+  /// Quantile of the per-trial means (nearest rank).
+  double quantile(double q) const {
+    std::vector<double> sorted = trial_ms;
+    std::sort(sorted.begin(), sorted.end());
+    const size_t i = static_cast<size_t>(
+        q * static_cast<double>(sorted.size() - 1) + 0.5);
+    return sorted[std::min(i, sorted.size() - 1)];
+  }
+  double allocs_per_call() const {
+    return static_cast<double>(allocations) / static_cast<double>(calls);
+  }
+  double bytes_per_call() const {
+    return static_cast<double>(bytes) / static_cast<double>(calls);
+  }
 };
 
-template <typename Fn>
-PathMeasurement measure_path(Fn&& call, int repeats) {
-  // Two warm-up calls: the first populates caches/arenas, the second
-  // proves the workload fits them.
+/// One trial of a row: `setup`, two warm-up calls (the first after a mode
+/// switch may rebuild caches), then `repeats` timed calls.
+template <typename Setup, typename Fn>
+void run_trial(PathRow& row, Setup&& setup, Fn&& call, int repeats) {
+  setup();
   call();
   call();
   testhooks::reset_thread_alloc_counters();
@@ -97,20 +116,13 @@ PathMeasurement measure_path(Fn&& call, int repeats) {
   }
   const auto stop = Clock::now();
   const testhooks::AllocCounters counters = testhooks::thread_alloc_counters();
-  PathMeasurement m;
-  m.latency_ms =
+  row.trial_ms.push_back(
       std::chrono::duration<double, std::milli>(stop - start).count() /
-      repeats;
-  m.allocs_per_call =
-      static_cast<double>(counters.allocations) / repeats;
-  m.bytes_per_call = static_cast<double>(counters.bytes) / repeats;
-  return m;
+      repeats);
+  row.calls += static_cast<uint64_t>(repeats);
+  row.allocations += counters.allocations;
+  row.bytes += counters.bytes;
 }
-
-struct PathRow {
-  std::string path;
-  PathMeasurement m;
-};
 
 }  // namespace
 
@@ -129,23 +141,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Referencing the plan library installs the inference-plan hooks at
-  // static init; the explicit call keeps that independent of link-order
-  // details.
-  plan::install_hooks();
-
   const bench::BenchSettings config = bench::settings();
   bench::print_header(
       "Inference latency per fusion scheme",
       "single-core per-image forward latency; FD loss is training-only");
 
   // -------------------------------------------------------------------
-  // Steady-state path comparison (DESIGN.md §11): graph vs planned vs
-  // compiled, with per-call heap-allocation counts. Weight values
-  // do not affect latency, so a seeded untrained model keeps this
-  // section deterministic and cache-independent.
+  // Steady-state comparison (DESIGN.md §11, §16): the graph path vs the
+  // compiled plan per serving mode, with per-call heap-allocation counts.
+  // Weight values do not affect latency, so a seeded untrained model
+  // keeps this section deterministic and cache-independent.
   // -------------------------------------------------------------------
-  const int path_repeats = smoke ? 5 : 50;
+  const int trials = smoke ? 5 : 15;
+  const int path_repeats = smoke ? 5 : 20;
   const int64_t height = config.test_data.image_height;
   const int64_t width = config.test_data.image_width;
   tensor::Rng scene_rng(7);
@@ -157,58 +165,70 @@ int main(int argc, char** argv) {
   roadseg::RoadSegNet net(config.net, model_rng);
   net.set_training(false);
   net.prepare_inference();
+  roadseg::StreamFeatureCache cache;
+  (void)net.predict_stream(rgb, depth, 1.0f, cache, false);
 
+  const auto fp32 = [] { quant::set_enabled(false); };
+  const auto int8 = [] { quant::set_enabled(true); };  // dynamic scales
+  struct Mode {
+    const char* path;
+    std::function<void()> setup;
+    std::function<void()> call;
+  };
+  const Mode modes[] = {
+      {"graph", fp32, [&] { (void)graph_predict(net, rgb, depth); }},
+      {"fused", fp32, [&] { (void)net.predict(rgb, depth); }},
+      {"rgb_only", fp32, [&] { (void)net.predict_fused(rgb, depth, 0.0f); }},
+      {"stream_hit", fp32,
+       [&] { (void)net.predict_stream(rgb, depth, 1.0f, cache, true); }},
+      {"int8", int8, [&] { (void)net.predict(rgb, depth); }},
+  };
   std::vector<PathRow> rows;
-  rows.push_back({"graph",
-                  measure_path([&] { (void)graph_predict(net, rgb, depth); },
-                               path_repeats)});
-  // "planned" is the raw graph-order workspace path (DESIGN.md §11);
-  // "compiled" runs the same predict through the inference plan
-  // (DESIGN.md §16: blocked NCHWc8 layout, fused cross-layer epilogues).
-  // ROADFUSION_PLAN is re-read at every prepare_inference.
-  ::setenv("ROADFUSION_PLAN", "0", 1);
-  net.prepare_inference();
-  rows.push_back({"planned",
-                  measure_path([&] { (void)net.predict(rgb, depth); },
-                               path_repeats)});
-  ::unsetenv("ROADFUSION_PLAN");
-  net.prepare_inference();
-  rows.push_back({"compiled",
-                  measure_path([&] { (void)net.predict(rgb, depth); },
-                               path_repeats)});
+  for (const Mode& mode : modes) {
+    rows.push_back({mode.path, {}, 0, 0, 0});
+  }
+  // Interleaved: every trial visits every row, so host drift spreads
+  // over all rows instead of biasing one.
+  for (int t = 0; t < trials; ++t) {
+    for (size_t m = 0; m < rows.size(); ++m) {
+      run_trial(rows[m], modes[m].setup, modes[m].call, path_repeats);
+    }
+  }
+  fp32();
 
-  // Per-layer solver selections: record the conv problems of one
-  // graph-order predict, then ask the dispatch layer what it binds for
-  // each — the same default selection the rows above ran. Under the compiled plan the interior encoder convs never reach
-  // this registry — they run the plan's own nchwc_direct kernel — so
-  // this table describes the graph-order layers (stems, stage-0 filters,
-  // decoder under the plan; everything when the plan declines).
-  ::setenv("ROADFUSION_PLAN", "0", 1);
-  net.prepare_inference();
+  // Per-layer solver selections: record the conv problems of one graph
+  // forward (every conv) and one fused plan predict (adds the decoder's
+  // transposed convs), then ask the dispatch layer what it binds for each
+  // — the default selection the plan's NCHW-layout layers (stems,
+  // decoder, and every conv outside the blocked layout) run. The
+  // blocked-layout interior runs the plan's own nchwc_direct kernel.
   tune::clear_recorded_problems();
   tune::set_problem_recording(true);
+  (void)graph_predict(net, rgb, depth);
   (void)net.predict(rgb, depth);
   tune::set_problem_recording(false);
-  ::unsetenv("ROADFUSION_PLAN");
-  net.prepare_inference();
   const std::vector<tune::ConvProblem> layer_problems =
       tune::recorded_problems();
 
-  std::printf("\nSteady-state predict: graph path vs planned path (%lldx%lld, "
-              "%d repeats)\n",
+  std::printf("\nSteady-state predict: graph path vs compiled plan per "
+              "serving mode (%lldx%lld, %d trials x %d calls)\n",
               static_cast<long long>(height), static_cast<long long>(width),
-              path_repeats);
-  bench::print_row({"path", "latency(ms)", "allocs/call", "KiB/call"}, 14);
+              trials, path_repeats);
+  bench::print_row({"path", "median(ms)", "p10(ms)", "p90(ms)",
+                    "allocs/call", "KiB/call"},
+                   12);
   for (const PathRow& row : rows) {
-    bench::print_row({row.path, fmt(row.m.latency_ms, 3),
-                      fmt(row.m.allocs_per_call, 1),
-                      fmt(row.m.bytes_per_call / 1024.0, 1)},
-                     14);
+    bench::print_row({row.path, fmt(row.quantile(0.5), 3),
+                      fmt(row.quantile(0.1), 3), fmt(row.quantile(0.9), 3),
+                      fmt(row.allocs_per_call(), 1),
+                      fmt(row.bytes_per_call() / 1024.0, 1)},
+                     12);
   }
   bench::JsonWriter json;
   json.begin_object()
       .field("bench", std::string("latency"))
       .field("smoke", smoke)
+      .field("trials", static_cast<int64_t>(trials))
       .field("repeats", static_cast<int64_t>(path_repeats))
       .field("image_height", static_cast<int64_t>(height))
       .field("image_width", static_cast<int64_t>(width));
@@ -217,9 +237,11 @@ int main(int argc, char** argv) {
   for (const PathRow& row : rows) {
     json.begin_object()
         .field("path", row.path)
-        .field("latency_ms", row.m.latency_ms, 4)
-        .field("allocs_per_call", row.m.allocs_per_call, 1)
-        .field("bytes_per_call", row.m.bytes_per_call, 1)
+        .field("latency_ms_median", row.quantile(0.5), 4)
+        .field("latency_ms_p10", row.quantile(0.1), 4)
+        .field("latency_ms_p90", row.quantile(0.9), 4)
+        .field("allocs_per_call", row.allocs_per_call(), 1)
+        .field("bytes_per_call", row.bytes_per_call(), 1)
         .end_object();
   }
   json.end_array().begin_array("layer_solvers");
@@ -229,16 +251,12 @@ int main(int argc, char** argv) {
         .field("solver", std::string(tune::bind(p, true)->solver->name()))
         .end_object();
   }
-  // rows are (graph, planned, compiled)
-  const double graph_to_planned = rows[0].m.latency_ms / rows[1].m.latency_ms;
-  const double planned_to_compiled =
-      rows[1].m.latency_ms / rows[2].m.latency_ms;
-  std::printf("planned is %.2fx the graph path\n", graph_to_planned);
-  std::printf("compiled plan is %.2fx the planned path\n",
-              planned_to_compiled);
+  // rows are (graph, fused, rgb_only, stream_hit, int8)
+  const double graph_to_fused = rows[0].quantile(0.5) / rows[1].quantile(0.5);
+  std::printf("compiled plan (fused) is %.2fx the graph path (medians)\n",
+              graph_to_fused);
   json.end_array()
-      .field("speedup_graph_to_planned", graph_to_planned, 3)
-      .field("speedup_planned_to_compiled", planned_to_compiled, 3)
+      .field("speedup_graph_to_fused", graph_to_fused, 3)
       .end_object();
   std::printf("%s\n", json.str().c_str());
   if (!json_path.empty()) {
@@ -251,21 +269,19 @@ int main(int argc, char** argv) {
     std::fclose(out);
   }
   if (smoke) {
-    // Smoke mode is a check, not just a report: fail if the planned path
-    // regressed into allocating. (It also skips the training-heavy
-    // scheme table below.)
+    // Smoke mode is a check, not just a report: fail if any plan row
+    // regressed into allocating. (It also skips the training-heavy scheme
+    // table below.)
     for (const PathRow& row : rows) {
-      if ((row.path == "planned" || row.path == "compiled") &&
-          row.m.allocs_per_call != 0.0) {
+      if (row.path != "graph" && row.allocs_per_call() != 0.0) {
         std::fprintf(stderr,
                      "FAIL: %s path allocates %.1f times per call "
                      "(expected 0)\n",
-                     row.path.c_str(), row.m.allocs_per_call);
+                     row.path.c_str(), row.allocs_per_call());
         return 1;
       }
     }
-    std::printf("smoke check passed: planned and compiled paths "
-                "allocation-free\n");
+    std::printf("smoke check passed: every plan row allocation-free\n");
     return 0;
   }
 

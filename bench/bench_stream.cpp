@@ -14,12 +14,14 @@
 //
 // Flags:
 //   --smoke        seconds-fast CI mode: small model, few frames, and a
-//                  hard gate: bitwise equality + speedup >= 1.15x
+//                  hard gate: bitwise equality in every trial + median
+//                  speedup over 5 interleaved trials >= 1.15x
 //                  (report target is 1.2x) — used by tools/run_tier1.sh
 //   --json FILE    write the machine-readable result (the committed
 //                  BENCH_stream.json) to FILE
 //   --frames N     frames per run (default 48; smoke 16)
 //   --slo-ms MS    per-frame latency SLO for frames/sec-at-SLO
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -38,6 +40,7 @@ using namespace roadfusion;
 using Clock = std::chrono::steady_clock;
 
 constexpr double kSmokeGateSpeedup = 1.15;  // CI gate (report target 1.2)
+constexpr int kTrials = 9;  // interleaved naive/reuse pairs per run
 
 struct RunResult {
   double wall_ms = 0.0;
@@ -146,13 +149,22 @@ int main(int argc, char** argv) {
   stream_config.corruptions = scenario::parse_corruptions("fog:0.5+night:0.4");
   stream_config.lidar_period = 3;
 
-  const RunResult naive =
-      run_stream(net, stream_config, frames, slo_ms, /*reuse=*/false);
-  const RunResult stream =
-      run_stream(net, stream_config, frames, slo_ms, /*reuse=*/true);
-
-  const int equal = count_bitwise_equal(naive.outputs, stream.outputs);
-  const double speedup = stream.frames_per_sec / naive.frames_per_sec;
+  // The speedup is the median of interleaved naive/reuse trial pairs: a
+  // single pair is at the mercy of host noise (one-pair smoke runs of the
+  // same build read 0.97-1.21x). Every trial must be bitwise-identical.
+  RunResult naive;
+  RunResult stream;
+  std::vector<double> speedups;
+  int equal = frames;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    naive = run_stream(net, stream_config, frames, slo_ms, /*reuse=*/false);
+    stream = run_stream(net, stream_config, frames, slo_ms, /*reuse=*/true);
+    equal = std::min(equal, count_bitwise_equal(naive.outputs, stream.outputs));
+    speedups.push_back(stream.frames_per_sec / naive.frames_per_sec);
+  }
+  std::vector<double> sorted = speedups;
+  std::sort(sorted.begin(), sorted.end());
+  const double speedup = sorted[sorted.size() / 2];
 
   bench::print_row({"mode", "frames/s", "fps@SLO", "wall ms", "cache h/m"});
   bench::print_row({"naive", bench::fmt(naive.frames_per_sec),
@@ -165,8 +177,9 @@ int main(int argc, char** argv) {
                     bench::fmt(stream.wall_ms),
                     std::to_string(stream.stats.cache_hits) + "/" +
                         std::to_string(stream.stats.cache_misses)});
-  std::printf("speedup: %.2fx  bitwise-identical: %d/%d frames\n", speedup,
-              equal, frames);
+  std::printf("speedup (median of %d trials): %.2fx  bitwise-identical: "
+              "%d/%d frames in every trial\n",
+              kTrials, speedup, equal, frames);
 
   bench::JsonWriter json;
   json.begin_object()
@@ -195,8 +208,13 @@ int main(int argc, char** argv) {
       .field("cache_misses",
              static_cast<int64_t>(stream.stats.cache_misses))
       .end_object()
+      .field("trials", static_cast<int64_t>(kTrials))
       .field("speedup", speedup)
-      .end_object();
+      .begin_array("trial_speedups");
+  for (const double x : speedups) {
+    json.begin_object().field("speedup", x).end_object();
+  }
+  json.end_array().end_object();
   std::puts(json.str().c_str());
   if (!json_path.empty()) {
     if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {

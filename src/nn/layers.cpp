@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <optional>
 
 #include "autograd/kernels.hpp"
 #include "common/check.hpp"
@@ -159,7 +160,10 @@ Tensor Conv2d::forward_infer(const Tensor& x,
     return Tensor::uninitialized(
         Shape::nchw(batch, out_channels_, out_h, out_w));
   };
-  Tensor out = batch > 1 ? allocate_out() : Tensor();
+  std::optional<Tensor> out;
+  if (batch > 1) {
+    out.emplace(allocate_out());
+  }
   // Per-shape solver binding (src/tune): forced solver > perf DB record >
   // cheapest estimate. The binding is cached per problem, so the steady
   // state pays one hash lookup — no allocation. GEMMs run per sample, so
@@ -212,7 +216,7 @@ Tensor Conv2d::forward_infer(const Tensor& x,
     const Tensor columns = kernels::im2col(
         x.raw() + s * in_channels_ * h * w, in_channels_, h, w, geom_);
     if (batch == 1) {
-      out = allocate_out();
+      out.emplace(allocate_out());
     }
     if (calibrate) {
       quant::observe_activation(
@@ -220,11 +224,11 @@ Tensor Conv2d::forward_infer(const Tensor& x,
           kernels::tensor_absmax(columns.raw(), columns.numel()));
     }
     args.columns = &columns;
-    args.out = out.raw() + s * out_channels_ * out_plane;
+    args.out = out->raw() + s * out_channels_ * out_plane;
     tune::run(*binding, problem, args);
     counter.inc();
   }
-  return out;
+  return std::move(*out);
 }
 
 void Conv2d::collect_parameters(std::vector<ParameterPtr>& out) const {

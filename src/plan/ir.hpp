@@ -2,15 +2,25 @@
 //
 // A compiled plan is a flat list of Steps over a flat list of buffer
 // Slots — the output of the plan compiler and the only thing the
-// executor interprets. Steps reference slots by index and packed weights
-// by pointer into the geometry-independent PlanContext, so a plan is
-// cheap to cache per input geometry and trivially inspectable (the
+// executor interprets. Steps reference slots by index, packed weights by
+// pointer into the geometry-independent PlanContext and NCHW layers by
+// pointer into the network, so a plan is cheap to cache per input
+// geometry and serving mode and trivially inspectable (the
 // --explain-plan printer walks the same two lists).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "tensor/shape.hpp"
+
+namespace roadfusion::core {
+class FusionFilter;
+}
+namespace roadfusion::roadseg {
+class Encoder;
+}
 
 namespace roadfusion::plan {
 
@@ -29,10 +39,21 @@ inline int64_t nchwc_floats(int64_t n, int64_t channels, int64_t h,
   return n * blocks_of(channels) * (h + 2) * (w + 2) * kLanes;
 }
 
-/// Buffer layout of one slot.
+/// Buffer layout of one slot — and, for a whole plan, the layout its
+/// encoder interior runs in (stage 0, the AWN and the decoder are NCHW in
+/// every plan).
 enum class Layout {
-  kNchw,   ///< plain dense NCHW Tensor
+  kNchw,   ///< plain dense NCHW Tensor; layers run their forward_infer
   kNchwc,  ///< blocked NCHWc8 with ring-1 zero border, flat storage
+};
+
+/// The four ways a RoadSegNet serves a frame. Each compiles to its own
+/// step list from the same per-scheme switch.
+enum class Mode {
+  kFused,       ///< both branches, fused at every stage
+  kRgbOnly,     ///< fusion weight 0: the depth input is never read
+  kStreamFill,  ///< kFused that also stores the matched depth features
+  kStreamHit,   ///< RGB branch fused with the stored depth features
 };
 
 /// One conv repacked for the blocked direct kernel: weights reordered to
@@ -59,48 +80,64 @@ struct PackedConv {
   bool relu = false;
 };
 
-/// One buffer of the plan. NCHWc slots are allocated as flat zeroed
-/// tensors of nchwc_floats(...) elements; NCHW slots as (n, c, h, w).
+/// One buffer of the plan. NCHWc slots hold nchwc_floats(...) floats;
+/// NCHW slots are (n, c, h, w) Tensors.
 struct SlotDef {
   Layout layout = Layout::kNchw;
   int64_t n = 0, c = 0, h = 0, w = 0;  ///< logical dims (border excluded)
-  /// Index of the last step reading this slot; the executor drops the
+  tensor::Shape shape;                 ///< storage shape
+  /// Index of the last step reading this slot. The executor drops an NCHW
   /// buffer right after that step so the workspace arena can reuse its
-  /// storage — this is the dead-transient elimination that keeps the
-  /// reserve() schedule minimal. -1 = live until the end of the plan.
+  /// storage, and NCHWc slots with disjoint lifetimes share frame space.
+  /// -1 = never read.
   int last_use = -1;
+  /// >= 0: the slot lives in the caller's StreamFeatureCache at this
+  /// index (the stage whose matched depth features it holds) instead of
+  /// the arena, so it survives the call. Stream-fill plans write it,
+  /// stream-hit plans only read it.
+  int persistent = -1;
+  /// Transient NCHWc slots: float offset into the executor's per-thread
+  /// frame. Slots whose lifetimes do not overlap share frame space.
+  int64_t offset = -1;
   std::string label;  ///< for --explain-plan
 };
 
 enum class StepKind {
-  /// Stage 0 on plain NCHW via the existing layer paths: both stems, the
-  /// stage-0 fusion filters and the fusion sum. Writes dst (fused skip 0)
-  /// and aux (depth features d_0). Composite because stage 0 is the one
-  /// stage whose inputs arrive in NCHW anyway — no layout win available.
-  kStageZero,
+  /// NCHW encoder stage through the layer's own forward_infer: the stem
+  /// at stage 0, a residual block otherwise.
+  kEncoderStage,
+  kMatch,           ///< NCHW fusion filter match_infer: dst = F(src)
   kConvertToNchwc,  ///< src (NCHW) -> dst (NCHWc)
   kConvertToNchw,   ///< src (NCHWc) -> dst (NCHW)
   /// Blocked direct conv src -> dst with the fused epilogue chain:
   /// bias -> BN affine -> (+ pre slot, the residual shortcut) -> ReLU ->
   /// (+ fusion_weight * post slot, the cross-layer fusion sum).
   kConvNchwc,
-  kAddInPlace,  ///< dst += src (blocked; AllFilter_B depth update)
-  kAccumulate,  ///< dst += fusion_weight * src (blocked fusion sum)
-  /// WeightedSharing head on NCHW: w = AWN(dst, aux); aux *= w per
-  /// sample; dst += fusion_weight * aux. Replays the graph path code.
+  kAddInPlace,  ///< dst += src (AllFilter_B depth update; either layout)
+  kAccumulate,  ///< dst += fusion_weight * src (either layout)
+  /// WeightedSharing head on NCHW: w = AWN(dst, src); aux = w * src per
+  /// sample (aux may be src itself, never a persistent slot);
+  /// dst += fusion_weight * aux.
   kAwnFuse,
-  kDecoder,  ///< decoder + head over the NCHW skip slots -> dst (logits)
+  kDecoder,  ///< decoder + head over the NCHW skip slots -> logits
 };
 
 struct Step {
-  StepKind kind = StepKind::kStageZero;
+  StepKind kind = StepKind::kEncoderStage;
   int src = -1;
   int dst = -1;
   int pre = -1;   ///< kConvNchwc: residual shortcut slot
   int post = -1;  ///< kConvNchwc: fusion-sum slot (scaled by fusion weight)
-  int aux = -1;   ///< kStageZero: d_0 out; kAwnFuse: depth features slot
-  const PackedConv* conv = nullptr;  ///< kConvNchwc only
-  int stage = 0;                     ///< for spans / --explain-plan
+  int aux = -1;   ///< kAwnFuse: scaled depth features
+  const PackedConv* conv = nullptr;             ///< kConvNchwc
+  const roadseg::Encoder* encoder = nullptr;    ///< kEncoderStage
+  const core::FusionFilter* filter = nullptr;   ///< kMatch
+  /// Trace span the step runs under, "<group><stage>" (or just "<group>"
+  /// for the decoder, stage -1). Consecutive steps of one group and stage
+  /// share one span, so a trace shows one span per encoder branch, fusion
+  /// point and decoder whichever layout the plan runs.
+  const char* group = nullptr;
+  int stage = -1;
 };
 
 }  // namespace roadfusion::plan

@@ -1,6 +1,6 @@
 #include "plan/plan.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -17,14 +17,14 @@
 #include "core/fusion_filter.hpp"
 #include "core/fusion_scheme.hpp"
 #include "nn/blocks.hpp"
+#include "nn/module.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/ir.hpp"
 #include "plan/nchwc.hpp"
 #include "quant/runtime.hpp"
 #include "roadseg/encoder.hpp"
-#include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
+#include "tensor/workspace.hpp"
 #include "tune/dispatch.hpp"
 #include "tune/solver.hpp"
 
@@ -34,13 +34,19 @@ namespace {
 using core::FusionScheme;
 using roadseg::Encoder;
 using roadseg::RoadSegNet;
+using roadseg::StreamFeatureCache;
 using tensor::Tensor;
 
-/// Fixed executor capacity — slot storage lives in a stack array so a
-/// plan run performs no per-call container allocation. Generous: the
-/// deepest supported network (8 stages) compiles to ~70 slots.
-constexpr int kMaxPlanSlots = 96;
-constexpr int kMaxPlanStages = 8;
+/// Slots 0 and 1 of every plan are the caller's NCHW inputs.
+constexpr int kRgbInput = 0;
+constexpr int kDepthInput = 1;
+
+/// Span groups. Steps compare group pointers, so each name has exactly
+/// one definition.
+constexpr const char* kRgbGroup = "rgb_encoder.stage";
+constexpr const char* kDepthGroup = "depth_encoder.stage";
+constexpr const char* kFusionGroup = "fusion.stage";
+constexpr const char* kDecoderGroup = "decoder";
 
 /// One residual block repacked for the blocked kernel. conv2 carries the
 /// post-shortcut ReLU (the epilogue order is bias -> BN -> +pre -> ReLU,
@@ -51,22 +57,38 @@ struct BlockPack {
   std::unique_ptr<PackedConv> proj;  ///< null = identity shortcut
 };
 
-/// Geometry-specific schedule; immutable once compiled.
+/// Schedule for one (geometry, layout, mode); immutable once compiled.
 struct CompiledPlan {
   int64_t n = 0, h = 0, w = 0;
+  Layout layout = Layout::kNchw;
+  Mode mode = Mode::kFused;
   std::vector<SlotDef> slots;
   std::vector<Step> steps;
   std::vector<int> skip_slots;  ///< NCHW fused pyramid, stage 0 first
-  /// Slots to drop right after each step (their last reader) — computed
-  /// liveness that keeps the arena footprint minimal.
+  /// Stream plans: the slot of each stage's cached depth features.
+  std::vector<int> persistent_slots;
+  /// Transient NCHW slots to drop right after each step (their last
+  /// reader) — computed liveness that keeps the arena footprint minimal.
   std::vector<std::vector<int>> release_after;
+  int64_t frame_floats = 0;  ///< frame size of the transient NCHWc slots
+  const char* mode_span = nullptr;  ///< span around the whole mode
 };
 
+obs::Counter& plan_counter(const char* which, const char* help) {
+  return obs::MetricsRegistry::global().counter(
+      std::string("roadfusion_plan_") + which, help);
+}
+
+}  // namespace
+
 /// Geometry-independent plan state hung off the RoadSegNet: packed
-/// weights plus a small cache of compiled per-geometry schedules.
+/// weights plus the compiled schedules.
 struct PlanContext {
+  uint64_t epoch = 0;  ///< nn inference epoch the weights were packed at
   int stages = 0;
   FusionScheme scheme = FusionScheme::kBaseline;
+  bool env_off = false;      ///< ROADFUSION_PLAN=0 at build
+  bool kc_overflow = false;  ///< some interior conv exceeds one Kc block
   std::vector<std::shared_ptr<const BlockPack>> rgb_blocks;    ///< [stage-1]
   std::vector<std::shared_ptr<const BlockPack>> depth_blocks;  ///< [stage-1]
   std::vector<PackedConv> d2r;  ///< [stage]; stage 0 runs NCHW, entry unused
@@ -75,9 +97,41 @@ struct PlanContext {
   std::vector<std::shared_ptr<const CompiledPlan>> plans;
 };
 
-obs::Counter& plan_counter(const char* which, const char* help) {
-  return obs::MetricsRegistry::global().counter(
-      std::string("roadfusion_plan_") + which, help);
+namespace {
+
+// ---------------------------------------------------------------------------
+// Build: network -> PlanContext (packed weights)
+// ---------------------------------------------------------------------------
+
+/// The bit-exactness argument (nchwc.hpp) requires the graph-path GEMM to
+/// run its whole reduction in one Kc cache block, so the blocked layout
+/// only covers convs whose lowered depth fits one block.
+bool fits_one_kc_block(const nn::Conv2d& conv) {
+  return conv.in_channels() * conv.geometry().kernel *
+             conv.geometry().kernel <=
+         autograd::kernels::blocked_gemm_config().kc;
+}
+
+bool block_fits(const nn::ResidualBlock& rb) {
+  return fits_one_kc_block(rb.conv1().conv()) &&
+         fits_one_kc_block(rb.conv2()) &&
+         (rb.projection() == nullptr || fits_one_kc_block(*rb.projection()));
+}
+
+/// True when every conv the blocked layout would run (stages >= 1) fits.
+bool interior_fits(const RoadSegNet& net) {
+  for (int stage = 1; stage < net.num_stages(); ++stage) {
+    const auto s = static_cast<size_t>(stage);
+    if (!block_fits(net.rgb_encoder().block(stage)) ||
+        !block_fits(net.depth_encoder().block(stage)) ||
+        (s < net.depth_to_rgb_filters().size() &&
+         !fits_one_kc_block(net.depth_to_rgb_filters()[s].conv())) ||
+        (s < net.rgb_to_depth_filters().size() &&
+         !fits_one_kc_block(net.rgb_to_depth_filters()[s].conv()))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
@@ -93,40 +147,8 @@ std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
   return bp;
 }
 
-/// The bit-exactness argument (nchwc.hpp) requires the graph-path GEMM to
-/// run its whole reduction in one Kc cache block, so the plan only covers
-/// convs whose lowered depth fits one block.
-bool fits_one_kc_block(const PackedConv& pc) {
-  return pc.cin * pc.kernel * pc.kernel <=
-         autograd::kernels::blocked_gemm_config().kc;
-}
-
-bool uses_filters(FusionScheme scheme) {
-  return scheme == FusionScheme::kAllFilterU ||
-         scheme == FusionScheme::kAllFilterB;
-}
-
-// ---------------------------------------------------------------------------
-// Build: network -> PlanContext (packed weights)
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<void> build_hook(const RoadSegNet& net) {
-  if (!planning_enabled() || quant::enabled()) {
-    return nullptr;
-  }
-  const int stages = net.num_stages();
-  if (stages < 2 || stages > kMaxPlanStages) {
-    return nullptr;
-  }
-  auto ctx = std::make_shared<PlanContext>();
-  ctx->stages = stages;
-  ctx->scheme = net.config().scheme;
-  bool ok = true;
-  const auto block_fits = [&](const BlockPack& bp) {
-    return fits_one_kc_block(bp.conv1) && fits_one_kc_block(bp.conv2) &&
-           (bp.proj == nullptr || fits_one_kc_block(*bp.proj));
-  };
-  for (int stage = 1; stage < stages; ++stage) {
+void pack_blocked(const RoadSegNet& net, PlanContext& ctx) {
+  for (int stage = 1; stage < ctx.stages; ++stage) {
     auto rgb = pack_block(net.rgb_encoder().block(stage),
                           "rgb.stage" + std::to_string(stage));
     // A shared stage aliases the rgb parameters — pack once, point twice.
@@ -134,551 +156,637 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
                      ? rgb
                      : pack_block(net.depth_encoder().block(stage),
                                   "depth.stage" + std::to_string(stage));
-    ok = ok && block_fits(*rgb) && block_fits(*depth);
-    ctx->rgb_blocks.push_back(std::move(rgb));
-    ctx->depth_blocks.push_back(std::move(depth));
+    ctx.rgb_blocks.push_back(std::move(rgb));
+    ctx.depth_blocks.push_back(std::move(depth));
   }
-  if (uses_filters(ctx->scheme)) {
-    ctx->d2r.resize(static_cast<size_t>(stages));
-    for (int stage = 1; stage < stages; ++stage) {
-      ctx->d2r[static_cast<size_t>(stage)] =
-          pack_conv(net.depth_to_rgb_filters()[static_cast<size_t>(stage)]
-                        .conv(),
-                    nullptr, false, "d2r.stage" + std::to_string(stage));
-      ok = ok && fits_one_kc_block(ctx->d2r[static_cast<size_t>(stage)]);
+  const auto pack_filters = [&](const std::vector<core::FusionFilter>& filters,
+                                const char* prefix,
+                                std::vector<PackedConv>& out) {
+    out.resize(filters.size());
+    for (size_t stage = 1; stage < filters.size(); ++stage) {
+      out[stage] = pack_conv(filters[stage].conv(), nullptr, false,
+                             prefix + std::to_string(stage));
     }
-    if (ctx->scheme == FusionScheme::kAllFilterB) {
-      ctx->r2d.resize(static_cast<size_t>(stages));
-      for (int stage = 1; stage + 1 < stages; ++stage) {
-        ctx->r2d[static_cast<size_t>(stage)] =
-            pack_conv(net.rgb_to_depth_filters()[static_cast<size_t>(stage)]
-                          .conv(),
-                      nullptr, false, "r2d.stage" + std::to_string(stage));
-        ok = ok && fits_one_kc_block(ctx->r2d[static_cast<size_t>(stage)]);
-      }
-    }
-  }
-  if (!ok) {
-    plan_counter("declined_total",
-                 "Plan builds/runs declined to the graph-order path")
-        .inc();
-    return nullptr;
-  }
-  plan_counter("builds_total", "Inference plan contexts compiled").inc();
-  return ctx;
+  };
+  pack_filters(net.depth_to_rgb_filters(), "d2r.stage", ctx.d2r);
+  pack_filters(net.rgb_to_depth_filters(), "r2d.stage", ctx.r2d);
 }
 
 // ---------------------------------------------------------------------------
-// Compile: PlanContext + input geometry -> CompiledPlan
+// Compile: PlanContext + layout + mode + input geometry -> CompiledPlan
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
-                                            const RoadSegNet& net, int64_t n,
-                                            int64_t h, int64_t w) {
-  auto plan = std::make_shared<CompiledPlan>();
-  plan->n = n;
-  plan->h = h;
-  plan->w = w;
-  const auto& channels = net.config().stage_channels;
-  const auto new_slot = [&](Layout layout, int64_t c, int64_t hh, int64_t ww,
-                            std::string label) {
+/// Emits one plan. Every serving mode and both layouts go through the one
+/// per-scheme switch in `compile()`; the helpers below hide the layout.
+class Compiler {
+ public:
+  Compiler(const PlanContext& ctx, const RoadSegNet& net, Layout layout,
+           Mode mode, int64_t n, int64_t h, int64_t w)
+      : ctx_(ctx),
+        net_(net),
+        mode_(mode),
+        channels_(net.config().stage_channels),
+        plan_(std::make_shared<CompiledPlan>()) {
+    plan_->n = n;
+    plan_->h = h;
+    plan_->w = w;
+    plan_->layout = layout;
+    plan_->mode = mode;
+    plan_->mode_span = mode == Mode::kRgbOnly    ? "rgb_only"
+                       : mode == Mode::kStreamHit ? "depth_cache.reuse"
+                                                  : nullptr;
+  }
+
+  std::shared_ptr<const CompiledPlan> compile() {
+    ROADFUSION_CHECK(ctx_.scheme != FusionScheme::kAllFilterB ||
+                         mode_ == Mode::kFused || mode_ == Mode::kRgbOnly,
+                     "AllFilter_B has no stream plans");
+    new_slot(Layout::kNchw, net_.config().rgb_channels, plan_->h, plan_->w,
+             "rgb");
+    new_slot(Layout::kNchw, net_.config().depth_channels, plan_->h,
+             plan_->w, "depth");
+    int r_in = kRgbInput;
+    int d_in = kDepthInput;
+    for (int stage = 0; stage < ctx_.stages; ++stage) {
+      const bool last = stage == ctx_.stages - 1;
+      int fused = -1;
+      int d_next = -1;
+      if (mode_ == Mode::kRgbOnly) {
+        // The depth branch never runs and the depth input is never read:
+        // each fusion point contributes zero matched features.
+        fused = branch(true, stage, r_in, -1);
+      } else {
+        // Every scheme reduces to fused_i = r_i + matched_i; the schemes
+        // differ in how `matched` derives from d_i (identity, fusion
+        // filter, AWN weighting) and whether the depth branch is updated
+        // in reverse (AllFilter_B).
+        switch (ctx_.scheme) {
+          case FusionScheme::kBaseline:
+          case FusionScheme::kBaseSharing:
+          case FusionScheme::kAllFilterU:
+          case FusionScheme::kWeightedSharing: {
+            const int matched = persist(stage, [&] {
+              d_next = branch(false, stage, d_in, -1);
+              return ctx_.scheme == FusionScheme::kAllFilterU
+                         ? match(stage, true, d_next, "matched")
+                         : d_next;
+            });
+            if (ctx_.scheme == FusionScheme::kWeightedSharing && last) {
+              // The AWN weighs the deepest depth features by a per-sample
+              // weight computed from the unfused RGB features.
+              fused = to_layout(branch(true, stage, r_in, -1), Layout::kNchw);
+              awn_fuse(stage, fused, matched);
+            } else {
+              fused = branch(true, stage, r_in, matched);
+            }
+            break;
+          }
+          case FusionScheme::kAllFilterB: {
+            d_next = branch(false, stage, d_in, -1);
+            if (last) {
+              // No reverse filter at the deepest stage.
+              fused = branch(true, stage, r_in,
+                             match(stage, true, d_next, "matched"));
+              break;
+            }
+            // The reverse filter reads the pre-fusion RGB features, and
+            // the depth update lands before the RGB accumulate.
+            fused = branch(true, stage, r_in, -1);
+            const int matched = match(stage, true, d_next, "matched");
+            const int matched_rgb =
+                match(stage, false, fused, "matched_rgb");
+            push(StepKind::kAddInPlace, matched_rgb, d_next);
+            push(StepKind::kAccumulate, matched, fused);
+            break;
+          }
+        }
+      }
+      plan_->skip_slots.push_back(to_layout(fused, Layout::kNchw));
+      r_in = fused;
+      d_in = d_next;
+    }
+    enter(kDecoderGroup, -1);
+    push(StepKind::kDecoder, -1, -1);
+    compute_liveness();
+    assign_frame();
+    plan_counter("compiles_total", "Inference plans compiled").inc();
+    return plan_;
+  }
+
+ private:
+  Layout stage_layout(int stage) const {
+    return plan_->layout == Layout::kNchwc && stage > 0 ? Layout::kNchwc
+                                                        : Layout::kNchw;
+  }
+  int64_t channels(int stage) const {
+    return channels_[static_cast<size_t>(stage)];
+  }
+  static std::string tag(int stage) {
+    return ".stage" + std::to_string(stage);
+  }
+
+  int new_slot(Layout layout, int64_t c, int64_t h, int64_t w,
+               std::string label) {
     SlotDef def;
     def.layout = layout;
-    def.n = n;
+    def.n = plan_->n;
     def.c = c;
-    def.h = hh;
-    def.w = ww;
+    def.h = h;
+    def.w = w;
+    def.shape = layout == Layout::kNchwc
+                    ? tensor::Shape::vec(nchwc_floats(def.n, c, h, w))
+                    : tensor::Shape::nchw(def.n, c, h, w);
     def.label = std::move(label);
-    plan->slots.push_back(std::move(def));
-    return static_cast<int>(plan->slots.size()) - 1;
-  };
-  const auto push = [&](Step step) { plan->steps.push_back(step); };
-
-  // Stage 0: plain NCHW through the existing layer paths, then one
-  // layout conversion each for the two feature maps the interior stages
-  // consume. skip 0 stays NCHW for the decoder.
-  const int64_t c0 = channels[0];
-  const int skip0 = new_slot(Layout::kNchw, c0, h, w, "skip0");
-  const int d0 = new_slot(Layout::kNchw, c0, h, w, "d0");
-  {
-    Step s;
-    s.kind = StepKind::kStageZero;
-    s.dst = skip0;
-    s.aux = d0;
-    s.stage = 0;
-    push(s);
+    plan_->slots.push_back(std::move(def));
+    return static_cast<int>(plan_->slots.size()) - 1;
   }
-  plan->skip_slots.push_back(skip0);
-  int r_in = new_slot(Layout::kNchwc, c0, h, w, "skip0.c8");
-  {
-    Step s;
-    s.kind = StepKind::kConvertToNchwc;
-    s.src = skip0;
-    s.dst = r_in;
-    push(s);
-  }
-  int d_in = new_slot(Layout::kNchwc, c0, h, w, "d0.c8");
-  {
-    Step s;
-    s.kind = StepKind::kConvertToNchwc;
-    s.src = d0;
-    s.dst = d_in;
-    push(s);
+  /// Slot holding stage `stage`'s output feature map.
+  int stage_slot(Layout layout, int stage, std::string label) {
+    return new_slot(layout, channels(stage),
+                    Encoder::stage_extent(stage, plan_->h),
+                    Encoder::stage_extent(stage, plan_->w), std::move(label));
   }
 
-  for (int stage = 1; stage < ctx.stages; ++stage) {
-    const int64_t c = channels[static_cast<size_t>(stage)];
-    const int64_t out_h = Encoder::stage_extent(stage, h);
-    const int64_t out_w = Encoder::stage_extent(stage, w);
-    const BlockPack& rgb = *ctx.rgb_blocks[static_cast<size_t>(stage - 1)];
-    const BlockPack& depth = *ctx.depth_blocks[static_cast<size_t>(stage - 1)];
-    const std::string tag = ".stage" + std::to_string(stage);
+  void enter(const char* group, int stage) {
+    group_ = group;
+    stage_ = stage;
+  }
+  /// Appends a step to the current span group and its stage.
+  Step& push(StepKind kind, int src, int dst) {
+    Step s;
+    s.kind = kind;
+    s.src = src;
+    s.dst = dst;
+    s.group = group_;
+    s.stage = stage_;
+    plan_->steps.push_back(s);
+    return plan_->steps.back();
+  }
 
-    // Emits one residual block: conv1, (projection), conv2 with the
-    // shortcut fused as `pre` and — when `post_slot` >= 0 — the fusion
-    // sum fused as `post`. Returns the block output slot.
-    const auto emit_block = [&](const BlockPack& bp, int input,
-                                const std::string& who, int post_slot) {
-      const int t1 = new_slot(Layout::kNchwc, c, out_h, out_w, who + ".conv1");
-      Step s1;
-      s1.kind = StepKind::kConvNchwc;
-      s1.src = input;
-      s1.dst = t1;
-      s1.conv = &bp.conv1;
-      s1.stage = stage;
-      push(s1);
-      int pre = input;  // identity shortcut (requires matching geometry)
-      if (bp.proj != nullptr) {
-        pre = new_slot(Layout::kNchwc, c, out_h, out_w, who + ".proj");
-        Step sp;
-        sp.kind = StepKind::kConvNchwc;
-        sp.src = input;
-        sp.dst = pre;
-        sp.conv = bp.proj.get();
-        sp.stage = stage;
-        push(sp);
+  /// `slot` in `layout`, converting (in the current span group) when the
+  /// producer wrote the other one.
+  int to_layout(int slot, Layout layout) {
+    const SlotDef& def = plan_->slots[static_cast<size_t>(slot)];
+    if (def.layout == layout) {
+      return slot;
+    }
+    const int out =
+        new_slot(layout, def.c, def.h, def.w,
+                 def.label + (layout == Layout::kNchwc ? ".c8" : ".nchw"));
+    push(layout == Layout::kNchwc ? StepKind::kConvertToNchwc
+                                  : StepKind::kConvertToNchw,
+         slot, out);
+    return out;
+  }
+
+  /// One encoder stage of the RGB or depth branch; `post` >= 0 fuses
+  /// fused = out + fusion_weight * post into it.
+  int branch(bool rgb, int stage, int input, int post) {
+    enter(rgb ? kRgbGroup : kDepthGroup, stage);
+    const Layout layout = stage_layout(stage);
+    input = to_layout(input, layout);
+    if (post >= 0) {
+      post = to_layout(post, layout);
+    }
+    const std::string who =
+        (post >= 0 ? "fused" : rgb ? "r" : "d") + tag(stage);
+    if (layout == Layout::kNchw) {
+      const int out = stage_slot(layout, stage, who);
+      push(StepKind::kEncoderStage, input, out).encoder =
+          rgb ? &net_.rgb_encoder() : &net_.depth_encoder();
+      if (post >= 0) {
+        push(StepKind::kAccumulate, post, out);
       }
-      const int out = new_slot(Layout::kNchwc, c, out_h, out_w, who);
-      Step s2;
-      s2.kind = StepKind::kConvNchwc;
-      s2.src = t1;
-      s2.dst = out;
-      s2.pre = pre;
-      s2.post = post_slot;
-      s2.conv = &bp.conv2;
-      s2.stage = stage;
-      push(s2);
       return out;
-    };
-    const auto emit_filter = [&](const PackedConv& pc, int input,
-                                 const std::string& who, int post_slot) {
-      const int out = new_slot(Layout::kNchwc, c, out_h, out_w, who);
-      Step s;
-      s.kind = StepKind::kConvNchwc;
-      s.src = input;
-      s.dst = out;
-      s.post = post_slot;
-      s.conv = &pc;
-      s.stage = stage;
-      push(s);
-      return out;
-    };
+    }
+    // Residual block: conv1, (projection), conv2 with the shortcut fused
+    // as `pre` and the fusion sum as `post`.
+    const BlockPack& bp = *(rgb ? ctx_.rgb_blocks : ctx_.depth_blocks)
+                               [static_cast<size_t>(stage - 1)];
+    const int t1 = stage_slot(layout, stage, who + ".conv1");
+    push(StepKind::kConvNchwc, input, t1).conv = &bp.conv1;
+    int pre = input;  // identity shortcut (requires matching geometry)
+    if (bp.proj != nullptr) {
+      pre = stage_slot(layout, stage, who + ".proj");
+      push(StepKind::kConvNchwc, input, pre).conv = bp.proj.get();
+    }
+    const int out = stage_slot(layout, stage, who);
+    Step& s2 = push(StepKind::kConvNchwc, t1, out);
+    s2.pre = pre;
+    s2.post = post;
+    s2.conv = &bp.conv2;
+    return out;
+  }
 
-    int fused = -1;
-    int d_i = -1;
-    const bool last = stage == ctx.stages - 1;
-    switch (ctx.scheme) {
-      case FusionScheme::kBaseline:
-      case FusionScheme::kBaseSharing:
-        d_i = emit_block(depth, d_in, "d" + tag, -1);
-        fused = emit_block(rgb, r_in, "fused" + tag, d_i);
-        break;
-      case FusionScheme::kAllFilterU: {
-        d_i = emit_block(depth, d_in, "d" + tag, -1);
-        const int matched = emit_filter(ctx.d2r[static_cast<size_t>(stage)],
-                                        d_i, "matched" + tag, -1);
-        fused = emit_block(rgb, r_in, "fused" + tag, matched);
-        break;
-      }
-      case FusionScheme::kAllFilterB: {
-        d_i = emit_block(depth, d_in, "d" + tag, -1);
-        if (last) {
-          // No reverse filter at the deepest stage — the fusion sum can
-          // ride the rgb conv2 epilogue like AllFilter_U.
-          const int matched = emit_filter(ctx.d2r[static_cast<size_t>(stage)],
-                                          d_i, "matched" + tag, -1);
-          fused = emit_block(rgb, r_in, "fused" + tag, matched);
-        } else {
-          // The reverse filter needs the *pre-fusion* rgb features, so
-          // the fusion sum cannot be fused into the rgb block here.
-          const int r_i = emit_block(rgb, r_in, "r" + tag, -1);
-          const int matched = emit_filter(ctx.d2r[static_cast<size_t>(stage)],
-                                          d_i, "matched" + tag, -1);
-          const int mrgb = emit_filter(ctx.r2d[static_cast<size_t>(stage)],
-                                       r_i, "matched_rgb" + tag, -1);
-          Step upd;
-          upd.kind = StepKind::kAddInPlace;
-          upd.dst = d_i;
-          upd.src = mrgb;
-          upd.stage = stage;
-          push(upd);
-          Step acc;
-          acc.kind = StepKind::kAccumulate;
-          acc.dst = r_i;
-          acc.src = matched;
-          acc.stage = stage;
-          push(acc);
-          fused = r_i;
+  /// Fusion filter of stage `stage` (depth->rgb, or rgb->depth for
+  /// AllFilter_B's reverse path) applied to `input`.
+  int match(int stage, bool depth_to_rgb, int input, const char* label) {
+    enter(kFusionGroup, stage);
+    const Layout layout = stage_layout(stage);
+    input = to_layout(input, layout);
+    const int out = stage_slot(layout, stage, label + tag(stage));
+    const auto s = static_cast<size_t>(stage);
+    if (layout == Layout::kNchw) {
+      push(StepKind::kMatch, input, out).filter =
+          depth_to_rgb ? &net_.depth_to_rgb_filters()[s]
+                       : &net_.rgb_to_depth_filters()[s];
+    } else {
+      push(StepKind::kConvNchwc, input, out).conv =
+          depth_to_rgb ? &ctx_.d2r[s] : &ctx_.r2d[s];
+    }
+    return out;
+  }
+
+  /// Stage `stage`'s matched depth features: computed by `compute` in the
+  /// fused mode, computed and kept in the stream cache when filling it,
+  /// read back from the cache on a hit.
+  template <typename Compute>
+  int persist(int stage, Compute&& compute) {
+    int slot = -1;
+    if (mode_ == Mode::kStreamHit) {
+      slot = stage_slot(stage_layout(stage), stage, "cached" + tag(stage));
+    } else {
+      slot = compute();
+    }
+    if (mode_ == Mode::kStreamFill || mode_ == Mode::kStreamHit) {
+      SlotDef& def = plan_->slots[static_cast<size_t>(slot)];
+      ROADFUSION_CHECK(def.layout == stage_layout(stage) && def.c ==
+                           channels(stage),
+                       "plan: cached slot " << def.label
+                                            << " has the wrong geometry");
+      def.persistent = stage;
+      plan_->persistent_slots.push_back(slot);
+    }
+    return slot;
+  }
+
+  /// WeightedSharing's last fusion point on NCHW: fused += fusion_weight *
+  /// AWN(fused, d) * d. A cached `d` is scaled into a scratch slot so the
+  /// cache keeps the unscaled features the next frame's AWN reads.
+  void awn_fuse(int stage, int fused, int d) {
+    enter(kFusionGroup, stage);
+    d = to_layout(d, Layout::kNchw);
+    const SlotDef& def = plan_->slots[static_cast<size_t>(d)];
+    const int scaled =
+        def.persistent >= 0
+            ? stage_slot(Layout::kNchw, stage, "matched" + tag(stage))
+            : d;
+    push(StepKind::kAwnFuse, d, fused).aux = scaled;
+  }
+
+  void compute_liveness() {
+    std::vector<int> last_use(plan_->slots.size(), -1);
+    for (size_t j = 0; j < plan_->steps.size(); ++j) {
+      const Step& st = plan_->steps[j];
+      const auto read = [&](int slot) {
+        if (slot >= 0) {
+          last_use[static_cast<size_t>(slot)] = static_cast<int>(j);
         }
-        break;
-      }
-      case FusionScheme::kWeightedSharing: {
-        d_i = emit_block(depth, d_in, "d" + tag, -1);
-        if (!last) {
-          fused = emit_block(rgb, r_in, "fused" + tag, d_i);
-          break;
-        }
-        // AWN head: both deepest feature stacks go back to NCHW (the AWN
-        // pools them and the fused result only feeds the decoder), then
-        // the graph-path weighting + fusion code runs verbatim.
-        const int r_i = emit_block(rgb, r_in, "r" + tag, -1);
-        const int rskip =
-            new_slot(Layout::kNchw, c, out_h, out_w, "fused" + tag);
-        Step cr;
-        cr.kind = StepKind::kConvertToNchw;
-        cr.src = r_i;
-        cr.dst = rskip;
-        cr.stage = stage;
-        push(cr);
-        const int dn = new_slot(Layout::kNchw, c, out_h, out_w, "d" + tag);
-        Step cd;
-        cd.kind = StepKind::kConvertToNchw;
-        cd.src = d_i;
-        cd.dst = dn;
-        cd.stage = stage;
-        push(cd);
-        Step awn;
-        awn.kind = StepKind::kAwnFuse;
-        awn.dst = rskip;
-        awn.aux = dn;
-        awn.stage = stage;
-        push(awn);
-        plan->skip_slots.push_back(rskip);
-        break;
-      }
-    }
-    if (fused >= 0) {
-      const int skip =
-          new_slot(Layout::kNchw, c, out_h, out_w, "skip" + tag);
-      Step cs;
-      cs.kind = StepKind::kConvertToNchw;
-      cs.src = fused;
-      cs.dst = skip;
-      cs.stage = stage;
-      push(cs);
-      plan->skip_slots.push_back(skip);
-      r_in = fused;
-      d_in = d_i;
-    }
-  }
-
-  {
-    Step dec;
-    dec.kind = StepKind::kDecoder;
-    dec.stage = ctx.stages;
-    push(dec);
-  }
-
-  if (plan->slots.size() > kMaxPlanSlots) {
-    return nullptr;
-  }
-
-  // Liveness: record each slot's last reader, then invert into per-step
-  // release lists (a step never releases its own outputs).
-  std::vector<int> last_use(plan->slots.size(), -1);
-  for (size_t j = 0; j < plan->steps.size(); ++j) {
-    const Step& st = plan->steps[j];
-    const auto read = [&](int slot) {
-      if (slot >= 0) {
-        last_use[static_cast<size_t>(slot)] = static_cast<int>(j);
-      }
-    };
-    read(st.src);
-    read(st.pre);
-    read(st.post);
-    if (st.kind == StepKind::kAddInPlace ||
-        st.kind == StepKind::kAccumulate) {
-      read(st.dst);  // in-place update reads its destination
-    }
-    if (st.kind == StepKind::kAwnFuse) {
-      read(st.dst);
+      };
+      read(st.src);
+      read(st.pre);
+      read(st.post);
       read(st.aux);
+      if (st.kind == StepKind::kAddInPlace ||
+          st.kind == StepKind::kAccumulate || st.kind == StepKind::kAwnFuse) {
+        read(st.dst);  // in-place update reads its destination
+      }
+      if (st.kind == StepKind::kDecoder) {
+        for (int skip : plan_->skip_slots) {
+          read(skip);
+        }
+      }
     }
-    if (st.kind == StepKind::kDecoder) {
-      for (int skip : plan->skip_slots) {
-        read(skip);
+    plan_->release_after.assign(plan_->steps.size(), {});
+    for (size_t i = 0; i < plan_->slots.size(); ++i) {
+      SlotDef& def = plan_->slots[i];
+      def.last_use = last_use[i];
+      if (def.last_use >= 0 && def.persistent < 0 &&
+          def.layout == Layout::kNchw && static_cast<int>(i) != kRgbInput &&
+          static_cast<int>(i) != kDepthInput) {
+        plan_->release_after[static_cast<size_t>(def.last_use)].push_back(
+            static_cast<int>(i));
       }
     }
   }
-  plan->release_after.assign(plan->steps.size(), {});
-  for (size_t i = 0; i < plan->slots.size(); ++i) {
-    plan->slots[i].last_use = last_use[i];
-    const int j = last_use[i];
-    if (j < 0) {
-      continue;
+
+  /// Lays the transient NCHWc slots out in one frame: first fit by
+  /// definition order, sharing space between slots whose [definition,
+  /// last use] step intervals are disjoint.
+  void assign_frame() {
+    struct Placed {
+      int64_t offset, floats;
+      int first, last;
+    };
+    std::vector<Placed> placed;
+    for (size_t j = 0; j < plan_->steps.size(); ++j) {
+      const Step& st = plan_->steps[j];
+      if (st.dst < 0) {
+        continue;
+      }
+      SlotDef& def = plan_->slots[static_cast<size_t>(st.dst)];
+      if (def.layout != Layout::kNchwc || def.persistent >= 0 ||
+          def.offset >= 0) {
+        continue;
+      }
+      const int first = static_cast<int>(j);
+      const int last = std::max(def.last_use, first);
+      const int64_t floats = def.shape.numel();
+      int64_t offset = 0;
+      for (bool moved = true; moved;) {
+        moved = false;
+        for (const Placed& p : placed) {
+          if (p.first <= last && first <= p.last &&
+              p.offset < offset + floats && offset < p.offset + p.floats) {
+            offset = p.offset + p.floats;
+            moved = true;
+          }
+        }
+      }
+      def.offset = offset;
+      placed.push_back({offset, floats, first, last});
+      plan_->frame_floats = std::max(plan_->frame_floats, offset + floats);
     }
-    const Step& st = plan->steps[static_cast<size_t>(j)];
-    if (static_cast<int>(i) == st.dst || static_cast<int>(i) == st.aux) {
-      continue;
-    }
-    plan->release_after[static_cast<size_t>(j)].push_back(
-        static_cast<int>(i));
   }
 
-  // Compile-time schedule metrics: how many layers landed in each layout.
-  int64_t nchwc_layers = 0;
-  for (const Step& st : plan->steps) {
-    if (st.kind == StepKind::kConvNchwc) {
-      ++nchwc_layers;
+  const PlanContext& ctx_;
+  const RoadSegNet& net_;
+  const Mode mode_;
+  const std::vector<int64_t>& channels_;
+  std::shared_ptr<CompiledPlan> plan_;
+  const char* group_ = nullptr;
+  int stage_ = -1;
+};
+
+/// The compiled plan for this call, compiled on first use.
+const CompiledPlan& plan_for(PlanContext& ctx, const RoadSegNet& net,
+                             Layout layout, Mode mode, int64_t n, int64_t h,
+                             int64_t w) {
+  const std::lock_guard<std::mutex> lock(ctx.mutex);
+  for (const auto& p : ctx.plans) {
+    if (p->n == n && p->h == h && p->w == w && p->layout == layout &&
+        p->mode == mode) {
+      return *p;
     }
   }
-  // NCHW layers: two stems, the stage-0 filters, the decoder stack and —
-  // for WeightedSharing — the AWN head.
-  int64_t nchw_layers = 2 + 2 * (ctx.stages - 1) + 1;
-  if (uses_filters(ctx.scheme)) {
-    nchw_layers += 1;  // stage-0 depth->rgb filter
-  }
-  if (ctx.scheme == FusionScheme::kAllFilterB) {
-    nchw_layers += 1;  // stage-0 rgb->depth filter
-  }
-  if (ctx.scheme == FusionScheme::kWeightedSharing) {
-    nchw_layers += 1;  // AWN
-  }
-  obs::MetricsRegistry::global()
-      .counter("roadfusion_plan_layers_total{layout=\"nchwc\"}",
-               "Layers scheduled per layout by the inference plan compiler")
-      .inc(static_cast<uint64_t>(nchwc_layers));
-  obs::MetricsRegistry::global()
-      .counter("roadfusion_plan_layers_total{layout=\"nchw\"}",
-               "Layers scheduled per layout by the inference plan compiler")
-      .inc(static_cast<uint64_t>(nchw_layers));
-  plan_counter("compiles_total", "Per-geometry inference plans compiled")
-      .inc();
-  return plan;
+  ctx.plans.push_back(Compiler(ctx, net, layout, mode, n, h, w).compile());
+  return *ctx.plans.back();
 }
 
 // ---------------------------------------------------------------------------
 // Execute
 // ---------------------------------------------------------------------------
 
-void run_stage_zero(const RoadSegNet& net, const PlanContext& ctx,
-                    const Tensor& rgb, const Tensor& depth,
-                    float fusion_weight, Tensor& skip0_out, Tensor& d0_out) {
-  obs::ScopedSpan span("plan.stage", 0);
-  // Keep the graph path's per-encoder span names so traces stay
-  // comparable (and trace consumers keyed on them keep working) whether
-  // or not a plan served the request.
-  Tensor r0, d0;
-  {
-    obs::ScopedSpan rgb_span("rgb_encoder.stage", 0);
-    r0 = net.rgb_encoder().forward_stage_infer(0, rgb);
-  }
-  {
-    obs::ScopedSpan depth_span("depth_encoder.stage", 0);
-    d0 = net.depth_encoder().forward_stage_infer(0, depth);
-  }
-  obs::ScopedSpan fusion_span("fusion.stage", 0);
-  switch (ctx.scheme) {
-    case FusionScheme::kBaseline:
-    case FusionScheme::kBaseSharing:
-    case FusionScheme::kWeightedSharing:
-      accumulate(r0.raw(), d0.raw(), r0.numel(), fusion_weight);
-      break;
-    case FusionScheme::kAllFilterU: {
-      const Tensor matched = net.depth_to_rgb_filters()[0].match_infer(d0);
-      accumulate(r0.raw(), matched.raw(), r0.numel(), fusion_weight);
-      break;
+/// Runs one compiled plan. NCHWc slots are raw views into a per-thread
+/// frame laid out at compile time; NCHW slots are Tensors drawn from the
+/// ambient workspace arena and dropped at their last use; persistent
+/// slots live in the stream cache on the heap. The frame and the slot
+/// table grow once per thread, so steady-state runs allocate nothing.
+class Executor {
+ public:
+  Executor(const CompiledPlan& plan, const RoadSegNet& net, const Tensor& rgb,
+           const Tensor& depth, float fusion_weight, StreamFeatureCache* cache)
+      : plan_(plan),
+        net_(net),
+        rgb_(rgb),
+        depth_(depth),
+        fusion_weight_(fusion_weight),
+        cache_(cache) {
+    if (table().size() < plan.slots.size()) {
+      table().resize(plan.slots.size());
     }
-    case FusionScheme::kAllFilterB: {
-      const Tensor matched = net.depth_to_rgb_filters()[0].match_infer(d0);
-      // next_depth = d_0 + match(r_0), before r_0 is fused in place —
-      // the exact graph-path order.
-      const Tensor matched_rgb = net.rgb_to_depth_filters()[0].match_infer(r0);
-      add_in_place(d0.raw(), matched_rgb.raw(), d0.numel());
-      accumulate(r0.raw(), matched.raw(), r0.numel(), fusion_weight);
-      break;
+    if (frame().size() < static_cast<size_t>(plan.frame_floats)) {
+      frame().resize(static_cast<size_t>(plan.frame_floats));
     }
   }
-  skip0_out = std::move(r0);
-  d0_out = std::move(d0);
-}
+  ~Executor() {
+    // Also on exceptions: no arena block outlives the call.
+    for (size_t i = 0; i < plan_.slots.size(); ++i) {
+      table()[i].reset();
+    }
+    skips().clear();
+  }
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
-bool execute(const RoadSegNet& net, const PlanContext& ctx,
-             const CompiledPlan& plan, const Tensor& rgb, const Tensor& depth,
-             float fusion_weight, Tensor& out) {
-  obs::ScopedSpan plan_span("plan.execute");
-  std::array<std::optional<Tensor>, kMaxPlanSlots> slots;
-  const auto get = [&](int idx) -> Tensor& { return *slots[static_cast<size_t>(idx)]; };
-  const auto define = [&](int idx) -> Tensor& {
-    const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
-    if (def.layout == Layout::kNchwc) {
-      // Zero-initialized: the conv kernels only write the interior, the
-      // border ring and padded lanes must stay 0.
-      slots[static_cast<size_t>(idx)].emplace(
-          tensor::Shape::vec(nchwc_floats(def.n, def.c, def.h, def.w)));
+  Tensor run() {
+    const obs::ScopedSpan plan_span("plan.execute");
+    std::optional<Tensor> out;  // set by the decoder step
+    if (plan_.mode_span != nullptr) {
+      const obs::ScopedSpan mode_span(plan_.mode_span);
+      run_groups(out);
     } else {
-      slots[static_cast<size_t>(idx)].emplace(Tensor::uninitialized(
-          tensor::Shape::nchw(def.n, def.c, def.h, def.w)));
+      run_groups(out);
     }
-    return *slots[static_cast<size_t>(idx)];
-  };
+    return std::move(*out);
+  }
 
-  for (size_t j = 0; j < plan.steps.size(); ++j) {
-    const Step& st = plan.steps[j];
+ private:
+  static std::vector<std::optional<Tensor>>& table() {
+    thread_local std::vector<std::optional<Tensor>> slots;
+    return slots;
+  }
+  static std::vector<float>& frame() {
+    thread_local std::vector<float> floats;
+    return floats;
+  }
+  static std::vector<Tensor>& skips() {
+    thread_local std::vector<Tensor> skip_maps;
+    return skip_maps;
+  }
+
+  const SlotDef& def(int idx) const {
+    return plan_.slots[static_cast<size_t>(idx)];
+  }
+  Tensor& cached(int idx) {
+    Tensor& slot = cache_->slots[static_cast<size_t>(def(idx).persistent)];
+    if (slot.shape() != def(idx).shape) {
+      // Zeroed on (re)allocation; kernels never write an NCHWc border.
+      const tensor::NoWorkspaceScope heap;
+      slot = Tensor(def(idx).shape);
+    }
+    return slot;
+  }
+  /// An NCHW slot's tensor, the caller's inputs included.
+  const Tensor& read(int idx) {
+    if (idx == kRgbInput) {
+      return rgb_;
+    }
+    return idx == kDepthInput ? depth_ : tensor(idx);
+  }
+  /// An NCHW slot's tensor (never an input).
+  Tensor& tensor(int idx) {
+    if (def(idx).persistent >= 0) {
+      return cached(idx);
+    }
+    return *table()[static_cast<size_t>(idx)];
+  }
+  /// Any slot's storage.
+  float* data(int idx) {
+    const SlotDef& d = def(idx);
+    if (d.layout == Layout::kNchwc && d.persistent < 0) {
+      return frame().data() + d.offset;
+    }
+    return tensor(idx).raw();
+  }
+  /// Storage for a kernel that writes the whole slot.
+  float* define(int idx) {
+    const SlotDef& d = def(idx);
+    if (d.layout == Layout::kNchwc && d.persistent < 0) {
+      // The conv kernels only write the interior: the border ring and
+      // padded lanes must read as 0.
+      float* p = frame().data() + d.offset;
+      std::fill(p, p + d.shape.numel(), 0.0f);
+      return p;
+    }
+    if (d.persistent < 0) {
+      table()[static_cast<size_t>(idx)].emplace(
+          Tensor::uninitialized(d.shape));
+    }
+    return tensor(idx).raw();
+  }
+  /// Stores a layer's returned output.
+  void put(int idx, Tensor&& value) {
+    if (def(idx).persistent >= 0) {
+      // The cache outlives the arena: copy into its heap storage.
+      const tensor::NoWorkspaceScope heap;
+      cached(idx) = value;
+      return;
+    }
+    table()[static_cast<size_t>(idx)] = std::move(value);
+  }
+
+  /// Runs the steps, one span per run of consecutive same-group steps.
+  void run_groups(std::optional<Tensor>& out) {
+    const size_t count = plan_.steps.size();
+    for (size_t begin = 0, end = 0; begin < count; begin = end) {
+      const Step& head = plan_.steps[begin];
+      while (end < count && plan_.steps[end].group == head.group &&
+             plan_.steps[end].stage == head.stage) {
+        ++end;
+      }
+      if (head.stage >= 0) {
+        const obs::ScopedSpan span(head.group, head.stage);
+        run_steps(begin, end, out);
+      } else {
+        const obs::ScopedSpan span(head.group);
+        run_steps(begin, end, out);
+      }
+    }
+  }
+
+  void run_steps(size_t begin, size_t end, std::optional<Tensor>& out) {
+    for (size_t j = begin; j < end; ++j) {
+      step(plan_.steps[j], out);
+      for (int idx : plan_.release_after[j]) {
+        table()[static_cast<size_t>(idx)].reset();
+      }
+    }
+  }
+
+  void step(const Step& st, std::optional<Tensor>& out) {
     switch (st.kind) {
-      case StepKind::kStageZero: {
-        Tensor skip0, d0;
-        run_stage_zero(net, ctx, rgb, depth, fusion_weight, skip0, d0);
-        slots[static_cast<size_t>(st.dst)] = std::move(skip0);
-        slots[static_cast<size_t>(st.aux)] = std::move(d0);
+      case StepKind::kEncoderStage: {
+        const Tensor& in = read(st.src);
+        if (in.shape().rank() == 3) {
+          // A CHW caller input: the NCHW copy lives for this step only.
+          const Tensor nchw = in.reshaped(def(st.src).shape);
+          put(st.dst, st.encoder->forward_stage_infer(st.stage, nchw));
+        } else {
+          put(st.dst, st.encoder->forward_stage_infer(st.stage, in));
+        }
         break;
       }
+      case StepKind::kMatch:
+        put(st.dst, st.filter->match_infer(tensor(st.src)));
+        break;
       case StepKind::kConvertToNchwc: {
-        const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
-        convert_to_nchwc(get(st.src).raw(), sd.n, sd.c, sd.h, sd.w,
-                         define(st.dst).raw());
+        const SlotDef& sd = def(st.src);
+        convert_to_nchwc(data(st.src), sd.n, sd.c, sd.h, sd.w,
+                         define(st.dst));
         break;
       }
       case StepKind::kConvertToNchw: {
-        const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
-        convert_to_nchw(get(st.src).raw(), sd.n, sd.c, sd.h, sd.w,
-                        define(st.dst).raw());
+        const SlotDef& sd = def(st.src);
+        convert_to_nchw(data(st.src), sd.n, sd.c, sd.h, sd.w,
+                        define(st.dst));
         break;
       }
       case StepKind::kConvNchwc: {
-        obs::ScopedSpan span("plan.conv", st.stage);
-        const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
-        const SlotDef& dd = plan.slots[static_cast<size_t>(st.dst)];
-        conv_nchwc(get(st.src).raw(), dd.n, sd.h, sd.w, *st.conv,
-                   define(st.dst).raw(), dd.h, dd.w,
-                   st.pre >= 0 ? get(st.pre).raw() : nullptr,
-                   st.post >= 0 ? get(st.post).raw() : nullptr,
-                   fusion_weight);
+        const obs::ScopedSpan span("plan.conv", st.stage);
+        const SlotDef& sd = def(st.src);
+        const SlotDef& dd = def(st.dst);
+        float* dst = define(st.dst);
+        conv_nchwc(data(st.src), dd.n, sd.h, sd.w, *st.conv, dst, dd.h, dd.w,
+                   st.pre >= 0 ? data(st.pre) : nullptr,
+                   st.post >= 0 ? data(st.post) : nullptr, fusion_weight_);
         break;
       }
       case StepKind::kAddInPlace:
-        add_in_place(get(st.dst).raw(), get(st.src).raw(),
-                     get(st.dst).numel());
+        add_in_place(data(st.dst), data(st.src), def(st.dst).shape.numel());
         break;
       case StepKind::kAccumulate:
-        accumulate(get(st.dst).raw(), get(st.src).raw(), get(st.dst).numel(),
-                   fusion_weight);
+        accumulate(data(st.dst), data(st.src), def(st.dst).shape.numel(),
+                   fusion_weight_);
         break;
       case StepKind::kAwnFuse: {
-        Tensor& r = get(st.dst);
-        Tensor& d = get(st.aux);
+        Tensor& r = tensor(st.dst);
+        const Tensor& d = tensor(st.src);
+        float* pm = st.aux == st.src ? tensor(st.src).raw() : define(st.aux);
         {
-          obs::ScopedSpan awn_span("awn.weight");
-          const Tensor wgt = net.awn()->weight_infer(r, d);
-          // matched = w (per sample) * d, in place; ws * x order as in
-          // scale_per_sample — verbatim graph-path code.
+          const obs::ScopedSpan awn_span("awn.weight");
+          const Tensor wgt = net_.awn()->weight_infer(r, d);
+          // matched = w (per sample) * d; ws * x order as in
+          // scale_per_sample.
           const int64_t batch = d.shape().batch();
           const int64_t per_sample = d.numel() / batch;
-          float* pd = d.raw();
+          const float* pd = d.raw();
           const float* pw = wgt.raw();
           for (int64_t s = 0; s < batch; ++s) {
             const float ws = pw[s];
             for (int64_t i = 0; i < per_sample; ++i) {
-              pd[s * per_sample + i] = ws * pd[s * per_sample + i];
+              pm[s * per_sample + i] = ws * pd[s * per_sample + i];
             }
           }
         }
-        accumulate(r.raw(), d.raw(), r.numel(), fusion_weight);
+        accumulate(r.raw(), pm, r.numel(), fusion_weight_);
         break;
       }
       case StepKind::kDecoder: {
-        obs::ScopedSpan decoder_span("decoder");
-        std::array<Tensor, kMaxPlanStages> skips;
-        for (size_t i = 0; i < plan.skip_slots.size(); ++i) {
-          skips[i] =
-              std::move(get(plan.skip_slots[i]));
+        std::vector<Tensor>& maps = skips();
+        for (int idx : plan_.skip_slots) {
+          maps.push_back(std::move(tensor(idx)));
         }
-        out = net.decoder().forward_infer(
-            skips.data(), static_cast<int>(plan.skip_slots.size()));
+        out.emplace(net_.decoder().forward_infer(
+            maps.data(), static_cast<int>(maps.size())));
+        maps.clear();
         break;
       }
     }
-    for (int idx : plan.release_after[j]) {
-      slots[static_cast<size_t>(idx)].reset();
+  }
+
+  const CompiledPlan& plan_;
+  const RoadSegNet& net_;
+  const Tensor& rgb_;
+  const Tensor& depth_;
+  const float fusion_weight_;
+  StreamFeatureCache* cache_;
+};
+
+/// True when `cache` holds the features `hit` reads: same geometry and
+/// layout as the plan that filled it.
+bool cache_serves(const CompiledPlan& hit, const StreamFeatureCache& cache) {
+  if (!cache.valid || cache.slots.size() != hit.persistent_slots.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < cache.slots.size(); ++i) {
+    if (cache.slots[i].shape() !=
+        hit.slots[static_cast<size_t>(hit.persistent_slots[i])].shape) {
+      return false;
     }
   }
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Run hook: decline checks + plan-cache lookup
-// ---------------------------------------------------------------------------
-
-bool run_hook(const RoadSegNet& net, const std::shared_ptr<void>& state,
-              const Tensor& rgb, const Tensor& depth, float fusion_weight,
-              Tensor& out) {
-  auto* ctx = static_cast<PlanContext*>(state.get());
-  if (ctx == nullptr) {
-    return false;
-  }
-  // Declines — each falls back to the graph-order path, which either
-  // handles the case (degraded RGB-only mode, forced solver, quantized
-  // mode) or raises its own descriptive error (bad geometry).
-  // Note the weight-range part also declines NaN and out-of-range values,
-  // so the graph path's fusion_weight CHECK still raises for them.
-  if (!(fusion_weight > 0.0f && fusion_weight <= 1.0f) || quant::enabled() ||
-      !tune::forced_solver().empty()) {
-    plan_counter("declined_total",
-                 "Plan builds/runs declined to the graph-order path")
-        .inc();
-    return false;
-  }
-  if (rgb.shape().rank() != 4 || depth.shape().rank() != 4) {
-    return false;
-  }
-  const int64_t n = rgb.shape().batch();
-  const int64_t h = rgb.shape().height();
-  const int64_t w = rgb.shape().width();
-  const int64_t stride = int64_t{1} << (ctx->stages - 1);
-  if (depth.shape().batch() != n || depth.shape().height() != h ||
-      depth.shape().width() != w ||
-      rgb.shape().dim(1) != net.config().rgb_channels ||
-      depth.shape().dim(1) != net.config().depth_channels || h < stride ||
-      w < stride || h % stride != 0 || w % stride != 0) {
-    return false;
-  }
-  std::shared_ptr<const CompiledPlan> plan;
-  {
-    std::lock_guard<std::mutex> lock(ctx->mutex);
-    for (const auto& p : ctx->plans) {
-      if (p->n == n && p->h == h && p->w == w) {
-        plan = p;
-        break;
-      }
-    }
-    if (plan == nullptr) {
-      plan = compile(*ctx, net, n, h, w);
-      if (plan == nullptr) {
-        plan_counter("declined_total",
-                     "Plan builds/runs declined to the graph-order path")
-            .inc();
-        return false;
-      }
-      ctx->plans.push_back(plan);
-    }
-  }
-  return execute(net, *ctx, *plan, rgb, depth, fusion_weight, out);
-}
-
-[[maybe_unused]] const bool hooks_installed = [] {
-  install_hooks();
-  return true;
-}();
 
 // ---------------------------------------------------------------------------
 // --explain-plan printer
@@ -719,8 +827,8 @@ std::string epilogue_str(const Step& st) {
   return out.empty() ? "none" : out;
 }
 
-/// Solver the registry would bind for an NCHW conv of this shape — the
-/// graph-path layers of the plan (stems, decoder) still dispatch there.
+/// Solver the registry binds for an NCHW conv of this shape — the layers
+/// the plan runs through their own forward_infer dispatch there.
 std::string bound_solver(int64_t cin, int64_t cout, int64_t kernel,
                          int64_t stride, int64_t pad, int64_t in_h,
                          int64_t in_w) {
@@ -734,65 +842,173 @@ std::string bound_solver(int64_t cin, int64_t cout, int64_t kernel,
   problem.s = kernel;
   problem.stride = stride;
   problem.pad = pad;
+  problem.dtype = quant::enabled() ? "int8" : "fp32";
   return tune::bind(problem, true)->solver->name();
+}
+
+std::string bound_solver(const nn::Conv2d& conv, int64_t in_h,
+                         int64_t in_w) {
+  const auto& g = conv.geometry();
+  return bound_solver(conv.in_channels(), conv.out_channels(), g.kernel,
+                      g.stride, g.padding, in_h, in_w);
+}
+
+/// First conv of an NCHW encoder stage.
+const nn::Conv2d& stage_conv(const Encoder& encoder, int stage) {
+  return stage == 0 ? encoder.stem().conv()
+                    : encoder.block(stage).conv1().conv();
 }
 
 }  // namespace
 
-bool planning_enabled() {
+std::shared_ptr<PlanContext> build(const RoadSegNet& net) {
+  // Packed weights outlive any forward pass: keep them off the arena.
+  const tensor::NoWorkspaceScope heap;
+  auto ctx = std::make_shared<PlanContext>();
+  ctx->epoch = nn::current_inference_epoch();
+  ctx->stages = net.num_stages();
+  ctx->scheme = net.config().scheme;
   const char* env = std::getenv("ROADFUSION_PLAN");
-  return env == nullptr || std::string(env) != "0";
+  ctx->env_off = env != nullptr && std::string(env) == "0";
+  ctx->kc_overflow = !interior_fits(net);
+  if (!ctx->env_off && !ctx->kc_overflow) {
+    pack_blocked(net, *ctx);
+  }
+  plan_counter("builds_total", "Inference plan contexts built").inc();
+  return ctx;
 }
 
-void install_hooks() {
-  roadseg::PlanHooks hooks;
-  hooks.build = &build_hook;
-  hooks.run = &run_hook;
-  roadseg::set_plan_hooks(hooks);
+bool current(const PlanContext& ctx) {
+  return ctx.epoch == nn::current_inference_epoch();
 }
 
-std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
+LayoutChoice choose_layout(const PlanContext& ctx) {
+  if (ctx.env_off) {
+    return {Layout::kNchw, "nchw: ROADFUSION_PLAN=0"};
+  }
+  if (quant::enabled()) {
+    return {Layout::kNchw, "nchw: quantized mode"};
+  }
+  if (quant::calibrating()) {
+    return {Layout::kNchw, "nchw: calibrating activation scales"};
+  }
+  if (!tune::forced_solver().empty()) {
+    return {Layout::kNchw, "nchw: forced solver (ROADFUSION_SOLVER)"};
+  }
+  if (ctx.kc_overflow) {
+    return {Layout::kNchw, "nchw: a conv exceeds one GEMM Kc block"};
+  }
+  return {Layout::kNchwc, "nchwc8: blocked direct conv for stages >= 1"};
+}
+
+LayoutChoice layout_for(const RoadSegNet& net) {
+  return choose_layout(*build(net));
+}
+
+Tensor run(const RoadSegNet& net, PlanContext& ctx, const Tensor& rgb,
+           const Tensor& depth, float fusion_weight, StreamFeatureCache* cache,
+           bool depth_unchanged) {
+  const int rank = rgb.shape().rank();
+  ROADFUSION_CHECK((rank == 4 || rank == 3) && depth.shape().rank() == rank,
+                   "RoadSegNet::infer_logits expects NCHW (or one CHW) "
+                   "inputs, got rgb "
+                       << rgb.shape().str() << " and depth "
+                       << depth.shape().str());
+  // A CHW input is one sample; the stem step reads it as (1, C, H, W).
+  const int64_t n = rank == 4 ? rgb.shape().batch() : 1;
+  const int64_t h = rgb.shape().dim(rank - 2);
+  const int64_t w = rgb.shape().dim(rank - 1);
+  ROADFUSION_CHECK((rank == 3 || depth.shape().batch() == n) &&
+                       depth.shape().dim(rank - 2) == h &&
+                       depth.shape().dim(rank - 1) == w,
+                   "RoadSegNet::infer_logits: rgb " << rgb.shape().str()
+                                                    << " vs depth "
+                                                    << depth.shape().str());
+  ROADFUSION_CHECK(fusion_weight >= 0.0f && fusion_weight <= 1.0f,
+                   "fusion_weight must be in [0, 1], got " << fusion_weight);
+  const int64_t stride = int64_t{1} << (ctx.stages - 1);
+  ROADFUSION_CHECK(h % stride == 0 && w % stride == 0,
+                   "input " << rgb.shape().str()
+                            << " not divisible by the network stride "
+                            << stride);
+
+  const Layout layout = choose_layout(ctx).layout;
+  Mode mode = fusion_weight == 0.0f ? Mode::kRgbOnly : Mode::kFused;
+  if (cache != nullptr) {
+    if (mode == Mode::kRgbOnly || ctx.scheme == FusionScheme::kAllFilterB) {
+      // RGB-only has no depth work to skip; AllFilter_B's depth branch
+      // reads per-frame RGB features, so its features never carry over.
+      cache->invalidate();
+      cache = nullptr;
+    } else {
+      if (depth_unchanged) {
+        const CompiledPlan& hit =
+            plan_for(ctx, net, layout, Mode::kStreamHit, n, h, w);
+        if (cache_serves(hit, *cache)) {
+          ++cache->hits;
+          return Executor(hit, net, rgb, depth, fusion_weight, cache).run();
+        }
+      }
+      ++cache->misses;
+      cache->valid = false;
+      mode = Mode::kStreamFill;
+      if (cache->slots.size() != static_cast<size_t>(ctx.stages)) {
+        const tensor::NoWorkspaceScope heap;
+        cache->slots.resize(static_cast<size_t>(ctx.stages));
+      }
+    }
+  }
+  const CompiledPlan& plan = plan_for(ctx, net, layout, mode, n, h, w);
+  Tensor out = Executor(plan, net, rgb, depth, fusion_weight, cache).run();
+  if (cache != nullptr) {
+    cache->valid = true;
+  }
+  return out;
+}
+
+std::string explain(const RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w) {
-  std::ostringstream os;
   if (!net.supports_raw_inference()) {
     return "inference plan unavailable: model is in training mode (call "
-           "set_training(false) + prepare_inference() first)\n";
+           "set_training(false) first)\n";
   }
-  const std::shared_ptr<void> state = build_hook(net);
-  if (state == nullptr) {
-    os << "inference plan unavailable ("
-       << (!planning_enabled()
-               ? "ROADFUSION_PLAN=0"
-               : quant::enabled()
-                     ? "quantized mode"
-                     : "unsupported model shape")
-       << "); inference uses the graph-order path\n";
-    return os.str();
-  }
-  auto* ctx = static_cast<PlanContext*>(state.get());
-  const auto plan = compile(*ctx, net, n, h, w);
-  if (plan == nullptr) {
-    return "inference plan unavailable for this geometry; inference uses "
-           "the graph-order path\n";
-  }
+  const std::shared_ptr<PlanContext> ctx = build(net);
+  const LayoutChoice choice = choose_layout(*ctx);
+  const auto compiled = [&](Mode mode) {
+    return Compiler(*ctx, net, choice.layout, mode, n, h, w).compile();
+  };
+  const auto plan = compiled(Mode::kFused);
+  std::ostringstream os;
   os << "inference plan: scheme=" << core::to_string(ctx->scheme)
      << " input=" << n << "x" << net.config().rgb_channels << "x" << h << "x"
      << w << " steps=" << plan->steps.size()
      << " slots=" << plan->slots.size() << "\n";
-  if (!tune::forced_solver().empty()) {
-    os << "  note: ROADFUSION_SOLVER is set — the plan DECLINES at run "
-          "time and the graph path serves every call\n";
+  os << "  layout " << choice.reason << "\n";
+  os << "  modes: fused=" << plan->steps.size()
+     << " rgb_only=" << compiled(Mode::kRgbOnly)->steps.size();
+  if (ctx->scheme != FusionScheme::kAllFilterB) {
+    os << " stream_fill=" << compiled(Mode::kStreamFill)->steps.size()
+       << " stream_hit=" << compiled(Mode::kStreamHit)->steps.size();
   }
+  os << " steps\n";
   for (size_t j = 0; j < plan->steps.size(); ++j) {
     const Step& st = plan->steps[j];
+    const SlotDef& in = plan->slots[static_cast<size_t>(std::max(st.src, 0))];
     os << "  [" << j << "] ";
     switch (st.kind) {
-      case StepKind::kStageZero:
-        os << "stage0      layout=nchw solver="
-           << bound_solver(net.config().rgb_channels,
-                           net.config().stage_channels[0], 3, 1, 1, h, w)
-           << " stems+stage0 fusion -> " << slot_str(*plan, st.dst) << ", "
-           << slot_str(*plan, st.aux);
+      case StepKind::kEncoderStage:
+        os << "stage       layout=nchw solver="
+           << bound_solver(stage_conv(*st.encoder, st.stage), in.h, in.w)
+           << " layer=" << (st.encoder == &net.rgb_encoder() ? "rgb" : "depth")
+           << ".stage" << st.stage << " " << slot_str(*plan, st.src) << " -> "
+           << slot_str(*plan, st.dst);
+        break;
+      case StepKind::kMatch:
+        os << "match       layout=nchw solver="
+           << bound_solver(st.filter->conv(), in.h, in.w)
+           << " layer=" << plan->slots[static_cast<size_t>(st.dst)].label
+           << " " << slot_str(*plan, st.src) << " -> "
+           << slot_str(*plan, st.dst);
         break;
       case StepKind::kConvertToNchwc:
         os << "to_nchwc    " << slot_str(*plan, st.src) << " -> "
@@ -807,9 +1023,9 @@ std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
            << st.conv->stride << "   layout=nchwc8 solver=nchwc_direct"
            << (common::active_tier() >= common::CpuTier::kAvx2 ? "_avx2"
                                                                : "")
-           << " layer="
-           << st.conv->name << " epilogue=" << epilogue_str(st) << " "
-           << slot_str(*plan, st.src) << " -> " << slot_str(*plan, st.dst);
+           << " layer=" << st.conv->name << " epilogue=" << epilogue_str(st)
+           << " " << slot_str(*plan, st.src) << " -> "
+           << slot_str(*plan, st.dst);
         if (st.pre >= 0) {
           os << " pre=" << slot_str(*plan, st.pre);
         }
@@ -827,18 +1043,18 @@ std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
         break;
       case StepKind::kAwnFuse:
         os << "awn_fuse    layout=nchw " << slot_str(*plan, st.dst)
-           << " += w * AWN-scaled " << slot_str(*plan, st.aux);
+           << " += w * AWN-scaled " << slot_str(*plan, st.src);
         break;
-      case StepKind::kDecoder:
+      case StepKind::kDecoder: {
+        const int64_t c0 = net.config().stage_channels[0];
         os << "decoder     layout=nchw solver="
-           << bound_solver(net.config().stage_channels[0],
-                           net.config().stage_channels[0], 3, 1, 1, h, w)
-           << " skips={";
+           << bound_solver(c0, c0, 3, 1, 1, h, w) << " skips={";
         for (size_t i = 0; i < plan->skip_slots.size(); ++i) {
           os << (i == 0 ? "" : ", ") << "%" << plan->skip_slots[i];
         }
         os << "} -> logits";
         break;
+      }
     }
     if (!plan->release_after[j].empty()) {
       os << "  free={";

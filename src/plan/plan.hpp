@@ -1,44 +1,85 @@
 // Inference plan compiler — public surface (DESIGN.md §16).
 //
-// The plan compiler turns a RoadSegNet in eval mode into an executable
-// per-layer schedule: interior encoder stages run in the blocked NCHWc8
-// layout through a direct conv kernel (no im2col), the cross-layer
-// elementwise chain (residual add, fusion-filter match, fusion sum, AWN
-// scaling) is fused into conv epilogues where the graph order allows it,
-// and transient buffers are released at their last use so the workspace
-// arena sees the minimal buffer schedule.
+// The plan is the one inference path of a RoadSegNet in eval mode. The
+// compiler walks the fusion graph once per (input geometry, layout,
+// serving mode) and emits a flat schedule; the executor runs it with the
+// transient buffers drawn from the workspace arena and released at their
+// last use. Serving modes: fused, RGB-only (fusion weight 0), stream
+// fill and stream hit (the cross-frame depth-feature cache lives in
+// persistent plan slots).
 //
-// Integration happens through roadseg/plan_hook.hpp: linking rf_plan into
-// a binary installs the hooks at static init, after which
-// RoadSegNet::prepare_inference compiles a plan and infer_logits executes
-// it. The plan declines — transparently falling back to the graph-order
-// path — for quantized mode, a forced solver, fusion weight 0, or any
-// geometry it cannot prove bit-exact.
+// Each plan runs its encoder interior in one of two layouts:
+//  * NCHWc8 — a blocked direct conv with the residual add, fusion-filter
+//    match, fusion sum and AWN inputs fused into conv epilogues;
+//  * NCHW — every layer through its own forward_infer, so the tune
+//    solver registry and the int8 kernels serve each conv.
+// NCHW is chosen whenever the registry's kernels must run (int8 mode,
+// calibration, a forced solver), when a conv does not fit one GEMM Kc
+// block (the blocked kernel's exactness argument), or when
+// ROADFUSION_PLAN=0. Both layouts are bitwise equal to the graph path in
+// fp32.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+
+#include "plan/ir.hpp"
+#include "tensor/tensor.hpp"
 
 namespace roadfusion::roadseg {
 class RoadSegNet;
-}
+struct StreamFeatureCache;
+}  // namespace roadfusion::roadseg
 
 namespace roadfusion::plan {
 
-/// True unless ROADFUSION_PLAN=0 disables plan compilation process-wide.
-bool planning_enabled();
+/// Packed weights plus the per-geometry plans compiled from them.
+struct PlanContext;
 
-/// Installs the plan hooks into roadseg (idempotent; also performed by a
-/// static initializer in this library, so merely linking rf_plan and
-/// referencing any of its symbols is enough).
-void install_hooks();
+/// The layout a plan runs in, with the reason in words ("nchwc8: ..." /
+/// "nchw: quantized mode").
+struct LayoutChoice {
+  Layout layout = Layout::kNchw;
+  const char* reason = "";
+};
 
-/// Human-readable schedule for `net` at input geometry (n, 3, h, w):
-/// one line per step with layout, kernel/solver, fused epilogue stages
-/// and buffer slots — the backing of `roadfusion infer --explain-plan`.
-/// The net must be in eval mode with prepare_inference() already run.
-/// Reports the reason when no plan is available.
+/// Packs `net`'s weights for the blocked layout when it is allowed. The
+/// net must be in eval mode with its layer inference caches built.
+std::shared_ptr<PlanContext> build(const roadseg::RoadSegNet& net);
+
+/// True while `ctx` still reflects the network's parameters (no
+/// optimizer step, checkpoint load or training-mode flip since build).
+bool current(const PlanContext& ctx);
+
+/// The layout the next run against `ctx` takes.
+LayoutChoice choose_layout(const PlanContext& ctx);
+
+/// The layout `net` serves with right now (builds a throwaway context).
+LayoutChoice layout_for(const roadseg::RoadSegNet& net);
+
+/// Road logits (N, 1, H, W) for NCHW inputs, bit-identical to
+/// `forward_fused(rgb, depth, fusion_weight).logits`. With a `cache`,
+/// runs as a stream: a hit (depth_unchanged and the cache holds features
+/// of this geometry and layout) skips the depth branch; otherwise the
+/// fused pass refills the cache. RGB-only calls and AllFilter_B (whose
+/// depth branch reads RGB features) invalidate the cache instead.
+tensor::Tensor run(const roadseg::RoadSegNet& net, PlanContext& ctx,
+                   const tensor::Tensor& rgb, const tensor::Tensor& depth,
+                   float fusion_weight, roadseg::StreamFeatureCache* cache,
+                   bool depth_unchanged);
+
+/// Human-readable schedule for `net` at input geometry (n, 3, h, w): the
+/// chosen layout and why, then one line per step of the fused plan with
+/// layout, kernel/solver, fused epilogue stages and buffer slots — the
+/// backing of `roadfusion infer --explain-plan`. The net must be in eval
+/// mode.
 std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w);
+
+/// Does nothing: the plan is part of RoadSegNet and needs no
+/// installation. Kept so callers written against the former link-time
+/// plan hooks still build.
+inline void install_hooks() {}
 
 }  // namespace roadfusion::plan

@@ -1,5 +1,7 @@
 #include "roadseg/decoder.hpp"
 
+#include <optional>
+
 #include "autograd/ops.hpp"
 #include "common/check.hpp"
 #include "obs/trace.hpp"
@@ -47,11 +49,15 @@ tensor::Tensor Decoder::forward_infer(const tensor::Tensor* skips,
   ROADFUSION_CHECK(count == static_cast<int>(stage_channels_.size()),
                    "Decoder: expected " << stage_channels_.size()
                                         << " skips, got " << count);
-  tensor::Tensor x = skips[count - 1];
+  // The deepest skip feeds the first upsampling directly; later steps
+  // read the previous refine output.
+  const tensor::Tensor* x = &skips[count - 1];
+  std::optional<tensor::Tensor> refined;
   for (size_t step = 0; step < up_.size(); ++step) {
     obs::ScopedSpan step_span("decoder.up", static_cast<int>(step));
     const size_t target_stage = stage_channels_.size() - 2 - step;
-    tensor::Tensor y = up_[step].forward_infer(x);
+    tensor::Tensor y = up_[step].forward_infer(*x);
+    refined.reset();  // consumed: free it before the refine runs
     // Skip connection: y += skip, elementwise in place (same float order
     // as the legacy add(up, skip)).
     float* py = y.raw();
@@ -60,10 +66,11 @@ tensor::Tensor Decoder::forward_infer(const tensor::Tensor* skips,
     for (int64_t i = 0; i < n; ++i) {
       py[i] += ps[i];
     }
-    x = refine_[step].forward_infer(y);
+    refined.emplace(refine_[step].forward_infer(y));
+    x = &*refined;
   }
   obs::ScopedSpan head_span("decoder.head");
-  return head_.forward_infer(x);
+  return head_.forward_infer(*x);
 }
 
 void Decoder::prepare_inference() {

@@ -25,6 +25,10 @@
 #include "roadseg/encoder.hpp"
 #include "roadseg/segmentation_model.hpp"
 
+namespace roadfusion::plan {
+struct PlanContext;
+}
+
 namespace roadfusion::roadseg {
 
 using core::FusionScheme;
@@ -64,23 +68,26 @@ class RoadSegNet : public SegmentationModel {
   /// (a shared stage still runs twice).
   nn::Complexity complexity(int64_t height, int64_t width) const override;
 
-  /// Raw planned-inference path (DESIGN.md §11): the exact data flow of
-  /// `forward_fused` on raw tensors — no graph, no per-call containers —
-  /// with bit-identical logits. Available once the network is in eval
-  /// mode (`set_training(false)`).
+  /// Inference through the compiled plan (DESIGN.md §16), the one
+  /// non-training inference path: bit-identical to
+  /// `forward_fused(...).logits` in every serving mode. Available once the
+  /// network is in eval mode (`set_training(false)`); the plan is built by
+  /// `prepare_inference` or on first use, and rebuilt after any parameter
+  /// change (nn inference epoch).
   bool supports_raw_inference() const override;
   tensor::Tensor infer_logits(const tensor::Tensor& rgb,
                               const tensor::Tensor& depth,
                               float fusion_weight) const override;
 
-  /// Streaming raw path. The depth branch depends only on the depth input
+  /// Streaming plan run. The depth branch depends only on the depth input
   /// for Baseline / Base-sharing / AllFilter_U / Weighted-sharing, so when
-  /// `depth_unchanged` holds, the cached matched features substitute for
-  /// the whole depth encoder (for Weighted-sharing the AWN still runs per
-  /// frame on fresh RGB features against the cached unscaled depth
-  /// features). AllFilter_B feeds RGB features back into the depth branch
-  /// every frame — nothing is cacheable, so it (and the RGB-only degraded
-  /// mode, which has no depth work to skip) falls back to `infer_logits`.
+  /// `depth_unchanged` holds, the matched features cached in the plan's
+  /// persistent slots substitute for the whole depth encoder (for
+  /// Weighted-sharing the AWN still runs per frame on fresh RGB features
+  /// against the cached unscaled depth features). AllFilter_B feeds RGB
+  /// features back into the depth branch every frame — nothing is
+  /// cacheable, so it (and the RGB-only degraded mode, which has no depth
+  /// work to skip) invalidates the cache and runs the plain plan.
   /// Bit-identical to `infer_logits` in every case.
   tensor::Tensor infer_logits_stream(const tensor::Tensor& rgb,
                                      const tensor::Tensor& depth,
@@ -118,27 +125,14 @@ class RoadSegNet : public SegmentationModel {
  private:
   int resolved_share_from() const;
 
-  /// Shared body of `infer_logits` / the populate half of
-  /// `infer_logits_stream`: the plain raw pass, optionally copying the
-  /// per-stage matched depth features into `populate` as it goes.
-  tensor::Tensor infer_logits_impl(const tensor::Tensor& rgb,
-                                   const tensor::Tensor& depth,
-                                   float fusion_weight,
-                                   StreamFeatureCache* populate) const;
-
-  /// The cache-hit half of `infer_logits_stream`: RGB encoder + fusion
-  /// from cached matched features; the depth encoder never runs.
-  tensor::Tensor infer_logits_reuse(const tensor::Tensor& rgb,
-                                    float fusion_weight,
-                                    StreamFeatureCache& cache) const;
+  /// The plan context for the current parameters, (re)built on demand.
+  std::shared_ptr<plan::PlanContext> plan_context() const;
 
   RoadSegConfig config_;
   bool training_ = true;
-  /// Opaque state of the compiled inference plan (see plan_hook.hpp),
-  /// rebuilt by prepare_inference and consulted first by infer_logits.
-  /// Null when no plan library is linked, planning is disabled, or the
-  /// model shape is unsupported.
-  std::shared_ptr<void> plan_state_;
+  /// Packed weights and compiled schedules of the inference plan; swapped
+  /// with atomic shared_ptr operations (concurrent rebuilds are benign).
+  mutable std::shared_ptr<plan::PlanContext> plan_;
   std::unique_ptr<Encoder> rgb_encoder_;
   std::unique_ptr<Encoder> depth_encoder_;
   std::vector<core::FusionFilter> depth_to_rgb_filters_;  // AU / AB

@@ -1,7 +1,7 @@
 #include "roadseg/segmentation_model.hpp"
 
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
@@ -41,42 +41,26 @@ tensor::Tensor SegmentationModel::infer_logits(const tensor::Tensor& rgb,
 
 namespace {
 
-/// ROADFUSION_PLANNED_INFERENCE=0 falls back to the Variable-graph
-/// predict path; anything else (including unset) keeps the planned
-/// zero-allocation path on.
-bool planned_inference_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("ROADFUSION_PLANNED_INFERENCE");
-    return env == nullptr || env[0] != '0';
-  }();
-  return enabled;
+/// The arena of raw-path predicts made without a caller-installed one.
+/// One per thread, shared by every serving mode (predict, RGB-only,
+/// stream): the first predict on a thread populates it, every later one
+/// is allocation-free.
+tensor::Workspace& thread_arena() {
+  thread_local tensor::Workspace arena;
+  return arena;
 }
 
-/// The raw path body; the caller has already installed a WorkspaceScope,
-/// so every transient below (input reshapes, feature maps, the output)
-/// draws from the arena. `infer` maps NCHW (rgb, depth) to raw logits.
+/// Raw-path predict: `infer` maps (rgb, depth), CHW or NCHW, to logits
+/// inside the caller's workspace arena, or this thread's one.
 template <typename InferFn>
-tensor::Tensor raw_predict_impl(const tensor::Tensor& rgb,
-                                const tensor::Tensor& depth,
-                                InferFn&& infer) {
-  const bool chw = rgb.shape().rank() == 3;
-  const tensor::Tensor* rgb4 = &rgb;
-  const tensor::Tensor* depth4 = &depth;
-  tensor::Tensor rgb_storage;
-  tensor::Tensor depth_storage;
-  if (chw) {
-    ROADFUSION_CHECK(depth.shape().rank() == 3,
-                     "predict: rgb is CHW but depth is "
-                         << depth.shape().str());
-    rgb_storage = rgb.reshaped(tensor::Shape::nchw(1, rgb.shape().dim(0),
-                                                   rgb.shape().dim(1),
-                                                   rgb.shape().dim(2)));
-    depth_storage = depth.reshaped(tensor::Shape::nchw(
-        1, depth.shape().dim(0), depth.shape().dim(1), depth.shape().dim(2)));
-    rgb4 = &rgb_storage;
-    depth4 = &depth_storage;
+tensor::Tensor raw_predict(const tensor::Tensor& rgb,
+                           const tensor::Tensor& depth, InferFn&& infer) {
+  const autograd::InferenceModeGuard no_grad;
+  std::optional<tensor::WorkspaceScope> scope;
+  if (tensor::Workspace::current() == nullptr) {
+    scope.emplace(thread_arena());
   }
-  tensor::Tensor out = infer(*rgb4, *depth4);
+  tensor::Tensor out = infer(rgb, depth);
   // Sigmoid in place, with the numerically-stable two-branch formula of
   // autograd::sigmoid — bit-identical to the graph path.
   float* po = out.raw();
@@ -86,61 +70,9 @@ tensor::Tensor raw_predict_impl(const tensor::Tensor& rgb,
     po[i] = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
                       : std::exp(v) / (1.0f + std::exp(v));
   }
-  if (chw) {
-    out = out.reshaped(tensor::Shape::chw(1, rgb.shape().dim(1),
-                                          rgb.shape().dim(2)));
-  }
-  return out;
-}
-
-tensor::Tensor raw_predict(const SegmentationModel& model,
-                           const tensor::Tensor& rgb,
-                           const tensor::Tensor& depth, float fusion_weight) {
-  return raw_predict_impl(
-      rgb, depth, [&](const tensor::Tensor& r, const tensor::Tensor& d) {
-        return model.infer_logits(r, d, fusion_weight);
-      });
-}
-
-tensor::Tensor run_predict(const SegmentationModel& model,
-                           const tensor::Tensor& rgb,
-                           const tensor::Tensor& depth, float fusion_weight) {
-  // Inference never needs the graph: with GradMode off, any fallback
-  // through the Variable path skips backward closures and the conv im2col
-  // cache.
-  const autograd::InferenceModeGuard no_grad;
-  if (planned_inference_enabled() && model.supports_raw_inference()) {
-    if (tensor::Workspace::current() != nullptr) {
-      return raw_predict(model, rgb, depth, fusion_weight);
-    }
-    // Direct callers get a per-thread arena: the first predict on a
-    // thread populates it, every later one is allocation-free.
-    thread_local tensor::Workspace workspace;
-    const tensor::WorkspaceScope scope(workspace);
-    return raw_predict(model, rgb, depth, fusion_weight);
-  }
-  tensor::Tensor rgb4 = rgb;
-  tensor::Tensor depth4 = depth;
-  const bool chw = rgb.shape().rank() == 3;
-  if (chw) {
-    ROADFUSION_CHECK(depth.shape().rank() == 3,
-                     "predict: rgb is CHW but depth is "
-                         << depth.shape().str());
-    rgb4 = rgb.reshaped(tensor::Shape::nchw(1, rgb.shape().dim(0),
-                                            rgb.shape().dim(1),
-                                            rgb.shape().dim(2)));
-    depth4 = depth.reshaped(tensor::Shape::nchw(1, depth.shape().dim(0),
-                                                depth.shape().dim(1),
-                                                depth.shape().dim(2)));
-  }
-  const ForwardResult result =
-      model.forward_fused(autograd::Variable::constant(rgb4),
-                          autograd::Variable::constant(depth4),
-                          fusion_weight);
-  tensor::Tensor out = autograd::sigmoid(result.logits).value();
-  if (chw) {
-    out = out.reshaped(tensor::Shape::chw(1, rgb.shape().dim(1),
-                                          rgb.shape().dim(2)));
+  if (rgb.shape().rank() == 3) {
+    out = out.reshaped(
+        tensor::Shape::chw(1, rgb.shape().dim(1), rgb.shape().dim(2)));
   }
   return out;
 }
@@ -149,13 +81,38 @@ tensor::Tensor run_predict(const SegmentationModel& model,
 
 tensor::Tensor SegmentationModel::predict(const tensor::Tensor& rgb,
                                           const tensor::Tensor& depth) const {
-  return run_predict(*this, rgb, depth, 1.0f);
+  return predict_fused(rgb, depth, 1.0f);
 }
 
 tensor::Tensor SegmentationModel::predict_fused(const tensor::Tensor& rgb,
                                                 const tensor::Tensor& depth,
                                                 float fusion_weight) const {
-  return run_predict(*this, rgb, depth, fusion_weight);
+  if (supports_raw_inference()) {
+    return raw_predict(rgb, depth, [&](const tensor::Tensor& r,
+                                       const tensor::Tensor& d) {
+      return infer_logits(r, d, fusion_weight);
+    });
+  }
+  // Models without a raw path (and training-mode nets) run the graph;
+  // with GradMode off it skips backward closures and the im2col cache.
+  const autograd::InferenceModeGuard no_grad;
+  const bool chw = rgb.shape().rank() == 3;
+  ROADFUSION_CHECK(!chw || depth.shape().rank() == 3,
+                   "predict: rgb is CHW but depth is " << depth.shape().str());
+  const auto nchw = [chw](const tensor::Tensor& t) {
+    return autograd::Variable::constant(
+        chw ? t.reshaped(tensor::Shape::nchw(1, t.shape().dim(0),
+                                             t.shape().dim(1),
+                                             t.shape().dim(2)))
+            : t);
+  };
+  const tensor::Tensor out =
+      autograd::sigmoid(forward_fused(nchw(rgb), nchw(depth), fusion_weight)
+                            .logits)
+          .value();
+  return chw ? out.reshaped(tensor::Shape::chw(1, rgb.shape().dim(1),
+                                               rgb.shape().dim(2)))
+             : out;
 }
 
 tensor::Tensor SegmentationModel::infer_logits_stream(
@@ -173,20 +130,14 @@ tensor::Tensor SegmentationModel::predict_stream(const tensor::Tensor& rgb,
                                                  float fusion_weight,
                                                  StreamFeatureCache& cache,
                                                  bool depth_unchanged) const {
-  const autograd::InferenceModeGuard no_grad;
-  if (!planned_inference_enabled() || !supports_raw_inference()) {
+  if (!supports_raw_inference()) {
     cache.invalidate();
-    return run_predict(*this, rgb, depth, fusion_weight);
+    return predict_fused(rgb, depth, fusion_weight);
   }
-  const auto infer = [&](const tensor::Tensor& r, const tensor::Tensor& d) {
+  return raw_predict(rgb, depth, [&](const tensor::Tensor& r,
+                                     const tensor::Tensor& d) {
     return infer_logits_stream(r, d, fusion_weight, cache, depth_unchanged);
-  };
-  if (tensor::Workspace::current() != nullptr) {
-    return raw_predict_impl(rgb, depth, infer);
-  }
-  thread_local tensor::Workspace workspace;
-  const tensor::WorkspaceScope scope(workspace);
-  return raw_predict_impl(rgb, depth, infer);
+  });
 }
 
 }  // namespace roadfusion::roadseg

@@ -26,20 +26,20 @@ struct ForwardResult {
 
 /// Cross-frame depth-feature cache for streaming inference. A stream
 /// session owns one cache per model; when the depth input is bitwise
-/// unchanged from the frame that populated it (LiDAR refreshes slower
-/// than the camera), `infer_logits_stream` skips the depth encoder and
-/// accumulates the cached matched features instead — bit-identical to the
-/// full pass. Tensors live on the heap (not a workspace arena), so the
-/// cache survives across predict calls; repopulation copies into the
-/// existing buffers when shapes match, keeping steady state zero-alloc.
+/// unchanged from the frame that filled it (LiDAR refreshes slower than
+/// the camera), `infer_logits_stream` skips the depth encoder and fuses
+/// the cached matched features instead — bit-identical to the full pass.
+/// For a RoadSegNet the cache holds the inference plan's persistent slots
+/// (DESIGN.md §16): one tensor per stage, in the layout of the plan that
+/// filled them. Tensors live on the heap (not a workspace arena), so the
+/// cache survives across predict calls; refills reuse the existing
+/// buffers when shapes match, keeping steady state zero-alloc.
 struct StreamFeatureCache {
   bool valid = false;
-  /// Per-stage matched depth payload; meaning is scheme-specific (raw
-  /// d_i for summation schemes, post-filter features for AllFilter_U).
-  std::vector<tensor::Tensor> matched;
-  /// WeightedSharing only: the unscaled deepest depth features the AWN
-  /// consumes (the per-frame weight still sees fresh RGB features).
-  tensor::Tensor d_last_unscaled;
+  /// Per-stage matched depth features (raw d_i for the summation schemes,
+  /// post-filter features for AllFilter_U, unscaled d_i at
+  /// WeightedSharing's AWN stage).
+  std::vector<tensor::Tensor> slots;
   int64_t hits = 0;
   int64_t misses = 0;
 
@@ -68,15 +68,16 @@ class SegmentationModel : public nn::Module {
   /// MAC / parameter budget for the given input size.
   virtual nn::Complexity complexity(int64_t height, int64_t width) const = 0;
 
-  /// True when this model implements the raw planned-inference path
+  /// True when this model implements the raw inference path
   /// (`infer_logits`) and is ready to serve it (eval mode). Models without
-  /// a raw path keep the default `false` and `predict` falls back to the
-  /// Variable graph.
+  /// a raw path keep the default `false` and `predict` runs the Variable
+  /// graph.
   virtual bool supports_raw_inference() const { return false; }
 
-  /// Raw no-graph logits (N, 1, H, W) for NCHW inputs — the
-  /// zero-allocation steady-state path (DESIGN.md §11). Must be
-  /// bit-identical to `forward_fused(...).logits`. Only called when
+  /// Raw no-graph logits (N, 1, H, W) for NCHW inputs, or (1, 1, H, W)
+  /// for one CHW sample — the zero-allocation steady-state path
+  /// (DESIGN.md §11, §16). Must be bit-identical to
+  /// `forward_fused(...).logits`. Only called when
   /// `supports_raw_inference()` returns true.
   virtual tensor::Tensor infer_logits(const tensor::Tensor& rgb,
                                       const tensor::Tensor& depth,

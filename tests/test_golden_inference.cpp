@@ -17,7 +17,6 @@
 #include "autograd/gemm.hpp"
 #include "common/cpu.hpp"
 #include "core/fusion_scheme.hpp"
-#include "plan/plan.hpp"
 #include "quant/runtime.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/tensor.hpp"
@@ -143,8 +142,7 @@ constexpr SchemeGolden kInt8GoldenMasks[] = {
 TEST(GoldenInference, MaskBitStableUnderCompiledPlan) {
   // The inference plan compiler (DESIGN.md §16) must serve the exact
   // golden mask: its blocked-layout schedule is bit-identical to the
-  // graph-order path, so the pinned hash holds with the plan active too.
-  plan::install_hooks();
+  // graph path, so the pinned hash holds with the plan active too.
   Rng rng(2022);
   RoadSegConfig config;
   config.stage_channels = {6, 8, 10, 12, 16};
@@ -241,10 +239,10 @@ std::string expected_default_solver(const tune::ConvProblem& p, bool packed) {
   return prefix + "reference";
 }
 
-/// Logits of one predict with planning disabled (ROADFUSION_PLAN=0 is
-/// re-read at every prepare_inference); leaves the net back on its
-/// compiled plan.
-Tensor graph_order_logits(RoadSegNet& net, const Tensor& rgb,
+/// Logits of one predict in the plan's NCHW layout, where every conv runs
+/// through the solver registry (ROADFUSION_PLAN=0 is read when the plan
+/// is built); leaves the net back on its blocked layout.
+Tensor nchw_layout_logits(RoadSegNet& net, const Tensor& rgb,
                           const Tensor& depth) {
   ::setenv("ROADFUSION_PLAN", "0", 1);
   net.prepare_inference();
@@ -255,7 +253,6 @@ Tensor graph_order_logits(RoadSegNet& net, const Tensor& rgb,
 }
 
 TEST(GoldenInference, ShippedDefaultBindsBlockedFamilyAtEveryTier) {
-  plan::install_hooks();
   tune::force_solver("");
   tune::clear_perf_db();
   const common::CpuTier saved = common::active_tier();
@@ -267,7 +264,7 @@ TEST(GoldenInference, ShippedDefaultBindsBlockedFamilyAtEveryTier) {
     common::set_active_tier(tier);
 
     // Bindings of every conv problem of the shipped config, recorded from
-    // one graph-order predict at the bench resolution.
+    // one NCHW-layout predict at the bench resolution.
     Rng rng(2022);
     RoadSegNet shipped(RoadSegConfig{}, rng);
     shipped.set_training(false);
@@ -277,7 +274,7 @@ TEST(GoldenInference, ShippedDefaultBindsBlockedFamilyAtEveryTier) {
         Tensor::uniform(Shape::nchw(1, 1, 32, 96), scene_rng);
     tune::clear_recorded_problems();
     tune::set_problem_recording(true);
-    (void)graph_order_logits(shipped, rgb, depth);
+    (void)nchw_layout_logits(shipped, rgb, depth);
     tune::set_problem_recording(false);
     const std::vector<tune::ConvProblem> problems =
         tune::recorded_problems();
@@ -308,13 +305,13 @@ TEST(GoldenInference, ShippedDefaultBindsBlockedFamilyAtEveryTier) {
     net.set_training(false);
     net.prepare_inference();
     const Tensor planned = net.infer_logits(rgb, depth, 1.0f);
-    const Tensor graph = graph_order_logits(net, rgb, depth);
+    const Tensor graph = nchw_layout_logits(net, rgb, depth);
     ASSERT_EQ(planned.shape(), graph.shape());
     EXPECT_EQ(std::memcmp(planned.raw(), graph.raw(),
                           static_cast<size_t>(planned.numel()) *
                               sizeof(float)),
               0)
-        << "compiled plan differs from the graph-order path";
+        << "blocked layout differs from the NCHW layout";
   }
   common::set_active_tier(saved);
 }

@@ -16,6 +16,11 @@
 #include <gtest/gtest.h>
 
 
+#include <set>
+#include <string>
+
+#include "autograd/ops.hpp"
+#include "autograd/variable.hpp"
 #include "eval/quant_gate.hpp"
 #include "kitti/dataset.hpp"
 #include "obs/metrics.hpp"
@@ -31,6 +36,8 @@ namespace {
 using roadseg::RoadSegConfig;
 using roadseg::RoadSegNet;
 using tensor::Rng;
+using tensor::Shape;
+using tensor::Tensor;
 
 /// Restores solver + quant state on scope exit.
 class GateGuard {
@@ -154,6 +161,53 @@ TEST(QuantGate, VerdictIsSolverIndependent) {
   EXPECT_TRUE(defaulted.passed);
   EXPECT_DOUBLE_EQ(reference.int8.f_score, defaulted.int8.f_score);
   EXPECT_DOUBLE_EQ(reference.int8.iou, defaulted.int8.iou);
+}
+
+// Calibration must see every conv layer even when the net serves through
+// its compiled plan: the plan runs the NCHW layout while calibrating, so
+// each Conv2d reports its activation range. One scale record per distinct
+// conv problem key of the net — 16 at the shipped 32x96 config.
+TEST(QuantGate, CalibrationRecordsEveryConvOfACompiledPlan) {
+  GateGuard guard;
+  Rng rng(2022);
+  RoadSegNet net(RoadSegConfig{}, rng);
+  net.set_training(false);
+  net.prepare_inference();
+  kitti::DatasetConfig data;
+  data.max_per_category = 1;
+  const kitti::RoadDataset split(data, kitti::Split::kTest);
+
+  // The net's conv problem keys, from one autograd-graph forward.
+  const kitti::Sample& sample = split.sample(0);
+  const Tensor rgb = sample.rgb.reshaped(Shape::nchw(
+      1, sample.rgb.shape().dim(0), sample.rgb.shape().dim(1),
+      sample.rgb.shape().dim(2)));
+  const Tensor depth = sample.depth.reshaped(Shape::nchw(
+      1, sample.depth.shape().dim(0), sample.depth.shape().dim(1),
+      sample.depth.shape().dim(2)));
+  tune::clear_recorded_problems();
+  tune::set_problem_recording(true);
+  {
+    const autograd::InferenceModeGuard no_grad;
+    (void)net.forward_fused(autograd::Variable::constant(rgb),
+                            autograd::Variable::constant(depth), 1.0f);
+  }
+  tune::set_problem_recording(false);
+  std::set<std::string> keys;
+  for (const tune::ConvProblem& p : tune::recorded_problems()) {
+    if (!p.transposed) {
+      keys.insert(p.key());
+    }
+  }
+  tune::clear_recorded_problems();
+
+  const QuantGateResult result = run_quant_gate(net, split);
+  EXPECT_EQ(keys.size(), 16u);
+  std::set<std::string> recorded;
+  for (const auto& [key, scale] : result.table.records()) {
+    recorded.insert(key);
+  }
+  EXPECT_EQ(recorded, keys) << "calibration missed conv layers";
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Zero-allocation steady-state inference (DESIGN.md §11).
 //
 // Locks the pieces of the planned inference path together:
-//  * bit-exactness — the raw no-graph path (planned predict) produces the
+//  * bit-exactness — the compiled plan (planned predict) produces the
 //    same float bits as the Variable-graph path for every fusion scheme,
 //    fusion weight and forced conv solver;
 //  * the workspace planner — a dry run's plan is deterministic, a
@@ -26,6 +26,7 @@
 #include "core/fusion_scheme.hpp"
 #include "nn/module.hpp"
 #include "obs/metrics.hpp"
+#include "plan/plan.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "runtime/engine.hpp"
 #include "tensor/tensor.hpp"
@@ -127,14 +128,25 @@ TEST(PlannedInference, BitExactAcrossSchemesWeightsAndSolvers) {
   }
 }
 
-TEST(PlannedInference, RawPathRequiresEvalMode) {
+TEST(PlannedInference, EvalModeServesTheBlockedPlanWithGraphBits) {
   Rng rng(3);
   RoadSegNet net(small_config(), rng);
   EXPECT_FALSE(net.supports_raw_inference());  // fresh nets are training
   net.set_training(false);
   EXPECT_TRUE(net.supports_raw_inference());
+  EXPECT_EQ(plan::layout_for(net).layout, plan::Layout::kNchwc);
+  const Scene scene = make_scene(4);
+  const Tensor served = net.predict(scene.rgb, scene.depth);
+  expect_bitwise_equal(graph_predict(net, scene, 1.0f), served,
+                       "eval-mode plan");
+  // A round trip through training mode rebuilds the plan: same layout,
+  // same bits.
   net.set_training(true);
   EXPECT_FALSE(net.supports_raw_inference());
+  net.set_training(false);
+  EXPECT_EQ(plan::layout_for(net).layout, plan::Layout::kNchwc);
+  expect_bitwise_equal(served, net.predict(scene.rgb, scene.depth),
+                       "plan rebuilt after a training-mode flip");
 }
 
 // ---------------------------------------------------------------------------

@@ -304,9 +304,10 @@ int cmd_infer(const cli::Args& args) {
         "                 [--perf-db FILE] [--quant FILE] "
         "[--trace trace.json]\n"
         "                 [--explain-plan]\n\n"
-        "  --explain-plan  print the compiled inference plan (per-layer\n"
-        "                  layout, kernel/solver, fused epilogue, buffer\n"
-        "                  slots; DESIGN.md §16) before running\n");
+        "  --explain-plan  print the compiled inference plan (chosen layout\n"
+        "                  and why, per-layer kernel/solver, fused\n"
+        "                  epilogue, buffer slots; DESIGN.md §16) before\n"
+        "                  running\n");
     return 0;
   }
   args.allow_only({"model", "scheme", "category", "lighting", "scene-seed",

@@ -24,9 +24,9 @@
 #                                 # src/obs drops below 70%
 #   tools/run_tier1.sh --bench-smoke
 #                                 # additionally run bench_latency --smoke:
-#                                 # a seconds-fast check that the planned
-#                                 # inference path still reports zero
-#                                 # per-call heap allocations
+#                                 # a seconds-fast check that every serving
+#                                 # mode of the compiled plan still reports
+#                                 # zero per-call heap allocations
 #   tools/run_tier1.sh --tune-smoke
 #                                 # additionally run `roadfusion tune --smoke`
 #                                 # and assert the perf DB is produced,
@@ -46,12 +46,13 @@
 #                                 # request accounting
 #   tools/run_tier1.sh --plan-smoke
 #                                 # additionally run the inference-plan leg:
-#                                 # ctest -L plan (planned-vs-graph bitwise
-#                                 # diff per scheme + zero-alloc steady state
-#                                 # via AllocProbe), then train a throwaway
-#                                 # model and assert `roadfusion infer
-#                                 # --explain-plan` prints a blocked-layout
-#                                 # schedule
+#                                 # ctest -L plan (plan-vs-graph bitwise
+#                                 # diff per scheme and serving mode +
+#                                 # zero-alloc steady state via AllocProbe),
+#                                 # then train a throwaway model and assert
+#                                 # `roadfusion infer --explain-plan` prints
+#                                 # a blocked-layout schedule, and its NCHW
+#                                 # layout and reason in int8 mode
 #   tools/run_tier1.sh --scenario-smoke
 #                                 # additionally drive the corruption
 #                                 # round trip: `roadfusion eval-matrix
@@ -136,13 +137,14 @@ if [[ "$soak_smoke" == 1 ]]; then
 fi
 
 if [[ "$bench_smoke" == 1 ]]; then
-  echo "== Bench smoke: planned inference stays zero-allocation =="
+  echo "== Bench smoke: every plan serving mode stays zero-allocation =="
   cmake --build build -j --target bench_latency
   (cd build && ./bench/bench_latency --smoke)
   echo "== Bench smoke: streaming reuse is bitwise-equal and faster =="
   cmake --build build -j --target bench_stream
   # bench_stream gates internally: bitwise equality with naive per-frame
-  # inference, and speedup >= 1.15x in smoke mode.
+  # inference in every trial, and a median speedup >= 1.15x over 9
+  # interleaved naive/reuse trials in smoke mode.
   (cd build && ./bench/bench_stream --smoke)
 fi
 
@@ -172,10 +174,11 @@ fi
 if [[ "$plan_smoke" == 1 ]]; then
   echo "== Plan smoke: compiled schedule is bit-exact and allocation-free =="
   cmake --build build -j --target test_plan roadfusion
-  # test_plan covers the gates directly: planned output memcmp-equal to
-  # the graph path for every fusion scheme, zero heap allocations per
-  # predict from the second call on (AllocProbe), and transparent decline
-  # fallbacks (forced solver, ROADFUSION_PLAN=0).
+  # test_plan covers the gates directly: every serving mode (predict,
+  # RGB-only, stream fill, stream hit) memcmp-equal to the graph path for
+  # every fusion scheme, zero heap allocations from the second call on
+  # (AllocProbe), and the layout choice (forced solver, ROADFUSION_PLAN=0,
+  # quantized mode, an over-wide conv) with unchanged output bits.
   (cd build && ctest --output-on-failure -L plan)
   # End to end: the CLI must print a blocked-layout schedule for a real
   # checkpoint.
@@ -187,6 +190,14 @@ if [[ "$plan_smoke" == 1 ]]; then
     { echo "$explain"; echo "plan smoke: no blocked-layout conv in the schedule" >&2; exit 1; }
   echo "$explain" | grep -q 'inference plan: scheme=' ||
     { echo "$explain"; echo "plan smoke: plan header missing" >&2; exit 1; }
+  # int8 mode: the same plan runs its NCHW layout and says why.
+  (cd build && ./tools/roadfusion calibrate --model plan_smoke.rfc \
+      --out plan_smoke.table --cap 2 >/dev/null)
+  explain_int8="$(cd build && ./tools/roadfusion infer --model plan_smoke.rfc \
+      --quant plan_smoke.table --explain-plan --out plan_smoke_out 2>&1)" ||
+    { echo "$explain_int8"; echo "plan smoke: int8 infer --explain-plan failed" >&2; exit 1; }
+  echo "$explain_int8" | grep -q 'layout nchw: quantized mode' ||
+    { echo "$explain_int8"; echo "plan smoke: int8 layout line missing" >&2; exit 1; }
   echo "plan smoke: OK"
 fi
 
