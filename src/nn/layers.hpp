@@ -135,7 +135,14 @@ class ConvTranspose2d : public Module {
   Complexity complexity(int64_t in_h, int64_t in_w) const;
 
   const ConvGeometry& geometry() const { return geom_; }
+  int64_t in_channels() const { return in_channels_; }
   int64_t out_channels() const { return out_channels_; }
+
+  /// Read-only parameter views for the inference plan's repacking.
+  const Tensor& weight_value() const { return weight_->var.value(); }
+  const Tensor* bias_value() const {
+    return bias_ ? &bias_->var.value() : nullptr;
+  }
 
  private:
   struct InferCache {

@@ -39,9 +39,9 @@ inline int64_t nchwc_floats(int64_t n, int64_t channels, int64_t h,
   return n * blocks_of(channels) * (h + 2) * (w + 2) * kLanes;
 }
 
-/// Buffer layout of one slot — and, for a whole plan, the layout its
-/// encoder interior runs in (stage 0, the AWN and the decoder are NCHW in
-/// every plan).
+/// Buffer layout of one slot — and, for a whole plan, the layout its convs
+/// run in (stems, encoder blocks, fusion filters and the decoder; the
+/// WeightedSharing AWN is NCHW in every plan).
 enum class Layout {
   kNchw,   ///< plain dense NCHW Tensor; layers run their forward_infer
   kNchwc,  ///< blocked NCHWc8 with ring-1 zero border, flat storage
@@ -56,19 +56,23 @@ enum class Mode {
   kStreamHit,   ///< RGB branch fused with the stored depth features
 };
 
-/// One conv repacked for the blocked direct kernel: weights reordered to
+/// One conv repacked for the blocked direct kernels: weights reordered to
 /// [out_block][in_channel][ky][kx][lane] (lane = output channel within
 /// the block, zero-padded past `cout`) with the fused per-output-channel
 /// epilogue stored as lane-padded arrays. The epilogue replays the exact
 /// scalar chain of the GEMM path — bias add, then (v - mean) * invstd
 /// followed by gamma * xh + beta, then ReLU — and every padded lane's
 /// parameters are zero so padded output lanes stay exactly 0.0f.
+///
+/// A transposed conv (2x2, stride 2, no bias or BN) stores its weights as
+/// [out_block][ky][in_channel][kx][lane], so the two taps one input pixel
+/// feeds along an output row sit next to each other.
 struct PackedConv {
-  std::string name;  ///< layer name for --explain-plan / spans
   int64_t cin = 0;
   int64_t cout = 0;
-  int64_t kernel = 1;  ///< 1 or 3; padding is implied (3 -> pad 1)
+  int64_t kernel = 1;  ///< 1 or 3 (padding implied: 3 -> pad 1); 2 transposed
   int64_t stride = 1;
+  bool transposed = false;
   std::vector<float> w;  ///< blocks_of(cout) * cin * kernel^2 * kLanes
   /// Lane-padded epilogue parameter arrays (blocks_of(cout) * kLanes each;
   /// empty = stage skipped). The four bn_* arrays are set together.
@@ -111,33 +115,42 @@ enum class StepKind {
   kConvertToNchw,   ///< src (NCHWc) -> dst (NCHW)
   /// Blocked direct conv src -> dst with the fused epilogue chain:
   /// bias -> BN affine -> (+ pre slot, the residual shortcut) -> ReLU ->
-  /// (+ fusion_weight * post slot, the cross-layer fusion sum).
+  /// (+ fusion_weight * post slot, the cross-layer fusion sum). An NCHW
+  /// dst (the decoder head) receives the real channels densely.
   kConvNchwc,
+  /// Blocked 2x2/s2 transposed conv src -> dst (decoder upsampling) with
+  /// the skip connection (pre slot) added in its epilogue.
+  kTconvNchwc,
   kAddInPlace,  ///< dst += src (AllFilter_B depth update; either layout)
   kAccumulate,  ///< dst += fusion_weight * src (either layout)
   /// WeightedSharing head on NCHW: w = AWN(dst, src); aux = w * src per
   /// sample (aux may be src itself, never a persistent slot);
   /// dst += fusion_weight * aux.
   kAwnFuse,
-  kDecoder,  ///< decoder + head over the NCHW skip slots -> logits
+  kDecoder,  ///< NCHW decoder + head over the skip slots -> logits (dst)
 };
 
 struct Step {
   StepKind kind = StepKind::kEncoderStage;
   int src = -1;
   int dst = -1;
-  int pre = -1;   ///< kConvNchwc: residual shortcut slot
+  int pre = -1;   ///< residual shortcut (kConvNchwc), skip (kTconvNchwc)
   int post = -1;  ///< kConvNchwc: fusion-sum slot (scaled by fusion weight)
   int aux = -1;   ///< kAwnFuse: scaled depth features
-  const PackedConv* conv = nullptr;             ///< kConvNchwc
+  const PackedConv* conv = nullptr;             ///< kConvNchwc, kTconvNchwc
   const roadseg::Encoder* encoder = nullptr;    ///< kEncoderStage
   const core::FusionFilter* filter = nullptr;   ///< kMatch
+  /// Layer the conv steps run, as --explain-plan names it (a shared
+  /// stage's depth branch names its own layer, not the aliased rgb one).
+  std::string layer;
   /// Trace span the step runs under, "<group><stage>" (or just "<group>"
-  /// for the decoder, stage -1). Consecutive steps of one group and stage
-  /// share one span, so a trace shows one span per encoder branch, fusion
-  /// point and decoder whichever layout the plan runs.
+  /// for stage -1). Consecutive steps of one group and stage share one
+  /// span, nested in one `outer` span when set (the blocked decoder's
+  /// "decoder"), so a trace shows the same spans per encoder branch,
+  /// fusion point and decoder step whichever layout the plan runs.
   const char* group = nullptr;
   int stage = -1;
+  const char* outer = nullptr;
 };
 
 }  // namespace roadfusion::plan

@@ -26,16 +26,15 @@ std::vector<float> lane_pad(const float* values, int64_t count) {
 }  // namespace
 
 PackedConv pack_conv(const nn::Conv2d& conv, const nn::BatchNorm2d* bn,
-                     bool relu, std::string name) {
+                     bool relu, const std::string& name) {
   PackedConv pc;
-  pc.name = std::move(name);
   pc.cin = conv.in_channels();
   pc.cout = conv.out_channels();
   pc.kernel = conv.geometry().kernel;
   pc.stride = conv.geometry().stride;
   ROADFUSION_CHECK((pc.kernel == 3 && conv.geometry().padding == 1) ||
                        (pc.kernel == 1 && conv.geometry().padding == 0),
-                   "pack_conv: unsupported geometry for " << pc.name);
+                   "pack_conv: unsupported geometry for " << name);
   const int64_t k = pc.kernel;
   const int64_t ocb = blocks_of(pc.cout);
   pc.w.assign(static_cast<size_t>(ocb * pc.cin * k * k * kLanes), 0.0f);
@@ -68,6 +67,36 @@ PackedConv pack_conv(const nn::Conv2d& conv, const nn::BatchNorm2d* bn,
   return pc;
 }
 
+PackedConv pack_tconv(const nn::ConvTranspose2d& up, const std::string& name) {
+  const auto& g = up.geometry();
+  ROADFUSION_CHECK(g.kernel == 2 && g.stride == 2 && g.padding == 0 &&
+                       up.bias_value() == nullptr,
+                   "pack_tconv: " << name << " is not a bias-free 2x2/s2 "
+                                     "transposed conv");
+  PackedConv pc;
+  pc.cin = up.in_channels();
+  pc.cout = up.out_channels();
+  pc.kernel = 2;
+  pc.stride = 2;
+  pc.transposed = true;
+  pc.w.assign(static_cast<size_t>(blocks_of(pc.cout) * 2 * pc.cin * 2 * kLanes),
+              0.0f);
+  // Source layout (Cin, Cout, 2, 2); packed [ob][ky][ic][kx][lane].
+  const float* wsrc = up.weight_value().raw();
+  for (int64_t ic = 0; ic < pc.cin; ++ic) {
+    for (int64_t oc = 0; oc < pc.cout; ++oc) {
+      for (int64_t ky = 0; ky < 2; ++ky) {
+        for (int64_t kx = 0; kx < 2; ++kx) {
+          pc.w[static_cast<size_t>(
+              ((((oc / kLanes) * 2 + ky) * pc.cin + ic) * 2 + kx) * kLanes +
+              oc % kLanes)] = wsrc[((ic * pc.cout + oc) * 2 + ky) * 2 + kx];
+        }
+      }
+    }
+  }
+  return pc;
+}
+
 void convert_to_nchwc(const float* src, int64_t n, int64_t c, int64_t h,
                       int64_t w, float* dst) {
   const int64_t row = (w + 2) * kLanes;
@@ -84,6 +113,21 @@ void convert_to_nchwc(const float* src, int64_t n, int64_t c, int64_t h,
         }
       }
     }
+  }
+}
+
+void zero_border(float* buf, int64_t n, int64_t c, int64_t h, int64_t w) {
+  const int64_t row = (w + 2) * kLanes;
+  const int64_t planes = n * blocks_of(c);
+  for (int64_t p = 0; p < planes; ++p) {
+    float* plane = buf + p * (h + 2) * row;
+    std::fill(plane, plane + row, 0.0f);
+    for (int64_t y = 1; y <= h; ++y) {
+      float* r = plane + y * row;
+      std::fill(r, r + kLanes, 0.0f);
+      std::fill(r + (w + 1) * kLanes, r + row, 0.0f);
+    }
+    std::fill(plane + (h + 1) * row, plane + (h + 2) * row, 0.0f);
   }
 }
 
@@ -107,34 +151,48 @@ void convert_to_nchw(const float* src, int64_t n, int64_t c, int64_t h,
   }
 }
 
+namespace {
+
+/// The AVX2 kernels' operand block for `pc`.
+NchwcConvArgs avx2_args(const float* src, int64_t n, int64_t in_h,
+                        int64_t in_w, const PackedConv& pc, float* dst,
+                        int64_t out_h, int64_t out_w) {
+  NchwcConvArgs args;
+  args.src = src;
+  args.n = n;
+  args.in_h = in_h;
+  args.in_w = in_w;
+  args.cin = pc.cin;
+  args.cout = pc.cout;
+  args.kernel = pc.kernel;
+  args.stride = pc.stride;
+  args.w = pc.w.data();
+  args.bias = pc.bias.empty() ? nullptr : pc.bias.data();
+  if (!pc.bn_mean.empty()) {
+    args.bn_mean = pc.bn_mean.data();
+    args.bn_invstd = pc.bn_invstd.data();
+    args.bn_gamma = pc.bn_gamma.data();
+    args.bn_beta = pc.bn_beta.data();
+  }
+  args.relu = pc.relu;
+  args.dst = dst;
+  args.out_h = out_h;
+  args.out_w = out_w;
+  return args;
+}
+
+}  // namespace
+
 void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
                 const PackedConv& pc, float* dst, int64_t out_h,
                 int64_t out_w, const float* pre, const float* post,
-                float fusion_weight) {
+                float fusion_weight, bool nchw_out) {
   if (common::active_tier() >= common::CpuTier::kAvx2) {
     // The AVX2 lane kernel runs the identical per-element mul+add chain
     // (no FMA contraction), so switching tiers never changes a bit.
-    NchwcConvArgs args;
-    args.src = src;
-    args.n = n;
-    args.in_h = in_h;
-    args.in_w = in_w;
-    args.cin = pc.cin;
-    args.cout = pc.cout;
-    args.kernel = pc.kernel;
-    args.stride = pc.stride;
-    args.w = pc.w.data();
-    args.bias = pc.bias.empty() ? nullptr : pc.bias.data();
-    if (!pc.bn_mean.empty()) {
-      args.bn_mean = pc.bn_mean.data();
-      args.bn_invstd = pc.bn_invstd.data();
-      args.bn_gamma = pc.bn_gamma.data();
-      args.bn_beta = pc.bn_beta.data();
-    }
-    args.relu = pc.relu;
-    args.dst = dst;
-    args.out_h = out_h;
-    args.out_w = out_w;
+    NchwcConvArgs args =
+        avx2_args(src, n, in_h, in_w, pc, dst, out_h, out_w);
+    args.nchw_out = nchw_out;
     args.pre = pre;
     args.post = post;
     args.fusion_weight = fusion_weight;
@@ -195,6 +253,7 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
           }
           const int64_t at = ((oy + 1) * (out_w + 2) + (ox + 1)) * kLanes;
           float* dp = dplane_p + at;
+          float column[kLanes];
           for (int64_t l = 0; l < kLanes; ++l) {
             float v = acc[l];
             if (has_bias) {
@@ -218,7 +277,76 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
                 v += post_p[at + l];
               }
             }
-            dp[l] = v;
+            column[l] = v;
+          }
+          if (nchw_out) {
+            // Dense NCHW: real channels only, one plane per channel.
+            float* d = dst + ((img * pc.cout + ob * kLanes) * out_h + oy) *
+                                 out_w + ox;
+            const int64_t lanes = std::min(kLanes, pc.cout - ob * kLanes);
+            for (int64_t l = 0; l < lanes; ++l) {
+              d[l * out_h * out_w] = column[l];
+            }
+          } else {
+            std::copy(column, column + kLanes, dp);
+          }
+        }
+      }
+    }
+  }
+}
+
+void tconv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
+                 const PackedConv& pc, float* dst, const float* skip) {
+  ROADFUSION_CHECK(pc.transposed, "tconv_nchwc: not a transposed conv");
+  const int64_t out_h = 2 * in_h;
+  const int64_t out_w = 2 * in_w;
+  if (common::active_tier() >= common::CpuTier::kAvx2) {
+    NchwcConvArgs args =
+        avx2_args(src, n, in_h, in_w, pc, dst, out_h, out_w);
+    args.pre = skip;
+    if (tconv_nchwc_avx2(args)) {
+      return;
+    }
+  }
+  const int64_t srow = (in_w + 2) * kLanes;
+  const int64_t splane = (in_h + 2) * srow;
+  const int64_t ssample = blocks_of(pc.cin) * splane;
+  const int64_t drow = (out_w + 2) * kLanes;
+  const int64_t dplane = (out_h + 2) * drow;
+  const int64_t ocb = blocks_of(pc.cout);
+  const int64_t dsample = ocb * dplane;
+  for (int64_t img = 0; img < n; ++img) {
+    const float* simg = src + img * ssample;
+    for (int64_t ob = 0; ob < ocb; ++ob) {
+      float* dplane_p = dst + img * dsample + ob * dplane;
+      const float* skip_p =
+          skip ? skip + img * dsample + ob * dplane : nullptr;
+      for (int64_t oy = 0; oy < out_h; ++oy) {
+        const int64_t ky = oy % 2;
+        const float* wrow = pc.w.data() + (ob * 2 + ky) * pc.cin * 2 * kLanes;
+        for (int64_t ox = 0; ox < out_w; ++ox) {
+          // Stride == kernel: output (oy, ox) reads exactly one input
+          // pixel through tap (oy % 2, ox % 2) — one dot product over cin
+          // in GEMM order.
+          const float* spix =
+              simg + ((oy / 2 + 1) * (in_w + 2) + (ox / 2 + 1)) * kLanes;
+          const float* wptr = wrow + (ox % 2) * kLanes;
+          float acc[kLanes] = {};
+          for (int64_t ic = 0; ic < pc.cin; ++ic) {
+            const float a = spix[(ic / kLanes) * splane + ic % kLanes];
+            for (int64_t l = 0; l < kLanes; ++l) {
+              acc[l] += wptr[l] * a;
+            }
+            wptr += 2 * kLanes;
+          }
+          const int64_t at = ((oy + 1) * (out_w + 2) + (ox + 1)) * kLanes;
+          for (int64_t l = 0; l < kLanes; ++l) {
+            float v = 0.0f + acc[l];  // col2im into a zeroed output
+            if (skip_p != nullptr) {
+              v += skip_p[at + l];
+            }
+            dplane_p[at + l] = v;
           }
         }
       }

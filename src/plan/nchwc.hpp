@@ -11,8 +11,13 @@
 // over (in_channel, ky, kx) in exactly the im2col row order with a single
 // scalar accumulator chain per element — the same order the blocked GEMM
 // uses when the whole reduction fits one Kc cache block — and the fused
-// epilogue replays the GEMM epilogue's scalar chain. Plans therefore
-// reproduce the graph path bit-for-bit (test_plan pins this).
+// epilogue replays the GEMM epilogue's scalar chain. The transposed conv
+// is the same argument with stride equal to kernel: each output element
+// is one GEMM dot product over the input channels, and its epilogue
+// replays col2im's accumulate into a zeroed output, then the skip add.
+// The plan runs these kernels only when every conv of the network fits
+// one Kc block, so plans reproduce the graph path bit-for-bit (test_plan
+// pins this).
 #pragma once
 
 #include "plan/ir.hpp"
@@ -20,6 +25,7 @@
 
 namespace roadfusion::nn {
 class Conv2d;
+class ConvTranspose2d;
 class BatchNorm2d;
 }  // namespace roadfusion::nn
 
@@ -27,12 +33,21 @@ namespace roadfusion::plan {
 
 /// Repacks `conv`'s weight (and optional fused eval-BN + ReLU) into the
 /// blocked-kernel layout. `bn` may be null; requires eval mode when set.
+/// `name` only labels errors.
 PackedConv pack_conv(const nn::Conv2d& conv, const nn::BatchNorm2d* bn,
-                     bool relu, std::string name);
+                     bool relu, const std::string& name);
+
+/// Repacks a 2x2/s2 transposed conv without bias (the decoder's
+/// upsampling) for `tconv_nchwc`.
+PackedConv pack_tconv(const nn::ConvTranspose2d& up, const std::string& name);
 
 /// NCHW -> NCHWc8. `dst` must be zeroed (border and padded lanes stay 0).
 void convert_to_nchwc(const float* src, int64_t n, int64_t c, int64_t h,
                       int64_t w, float* dst);
+
+/// Zeroes the border ring of an NCHWc8 buffer — all a conv output needs
+/// before its kernel writes every lane of the interior.
+void zero_border(float* buf, int64_t n, int64_t c, int64_t h, int64_t w);
 
 /// NCHWc8 -> NCHW (reads real channels only).
 void convert_to_nchw(const float* src, int64_t n, int64_t c, int64_t h,
@@ -42,11 +57,22 @@ void convert_to_nchw(const float* src, int64_t n, int64_t c, int64_t h,
 ///   acc -> +bias -> BN affine -> +pre (residual shortcut) -> ReLU
 ///       -> +fusion_weight * post (cross-layer fusion sum).
 /// `pre` / `post` are NCHWc8 buffers of the output geometry, or null.
-/// Padding is implied by the kernel size (3 -> pad 1, 1 -> pad 0).
+/// Padding is implied by the kernel size (3 -> pad 1, 1 -> pad 0). With
+/// `nchw_out`, `dst` is a dense (n, cout, out_h, out_w) NCHW buffer that
+/// receives only the real channels (the decoder head's logits).
 void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
                 const PackedConv& pc, float* dst, int64_t out_h,
                 int64_t out_w, const float* pre, const float* post,
-                float fusion_weight);
+                float fusion_weight, bool nchw_out = false);
+
+/// Blocked 2x2/s2 transposed conv NCHWc8 (in_h, in_w) -> NCHWc8
+/// (2 in_h, 2 in_w) with the skip connection in its epilogue:
+///   dst = (0.0f + acc) + skip,
+/// the graph's col2im accumulate into a zeroed output, then the skip add
+/// (the leading 0.0f + turns a -0.0f dot product into +0.0f first).
+/// `skip` is an NCHWc8 buffer of the output geometry, or null.
+void tconv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
+                 const PackedConv& pc, float* dst, const float* skip);
 
 /// dst += src over two same-geometry NCHWc8 buffers (plain add — the
 /// AllFilter_B depth-branch update order).

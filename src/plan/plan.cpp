@@ -22,6 +22,7 @@
 #include "obs/trace.hpp"
 #include "plan/nchwc.hpp"
 #include "quant/runtime.hpp"
+#include "roadseg/decoder.hpp"
 #include "roadseg/encoder.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/workspace.hpp"
@@ -47,6 +48,8 @@ constexpr const char* kRgbGroup = "rgb_encoder.stage";
 constexpr const char* kDepthGroup = "depth_encoder.stage";
 constexpr const char* kFusionGroup = "fusion.stage";
 constexpr const char* kDecoderGroup = "decoder";
+constexpr const char* kUpGroup = "decoder.up";  // + step, deepest first
+constexpr const char* kHeadGroup = "decoder.head";
 
 /// One residual block repacked for the blocked kernel. conv2 carries the
 /// post-shortcut ReLU (the epilogue order is bias -> BN -> +pre -> ReLU,
@@ -64,7 +67,8 @@ struct CompiledPlan {
   Mode mode = Mode::kFused;
   std::vector<SlotDef> slots;
   std::vector<Step> steps;
-  std::vector<int> skip_slots;  ///< NCHW fused pyramid, stage 0 first
+  int output = -1;              ///< the NCHW logits slot
+  std::vector<int> skip_slots;  ///< kDecoder's NCHW pyramid, stage 0 first
   /// Stream plans: the slot of each stage's cached depth features.
   std::vector<int> persistent_slots;
   /// Transient NCHW slots to drop right after each step (their last
@@ -73,6 +77,12 @@ struct CompiledPlan {
   int64_t frame_floats = 0;  ///< frame size of the transient NCHWc slots
   const char* mode_span = nullptr;  ///< span around the whole mode
 };
+
+/// ROADFUSION_PLAN=0: the kill switch that selects the NCHW layout.
+bool env_plan_off() {
+  const char* env = std::getenv("ROADFUSION_PLAN");
+  return env != nullptr && std::string(env) == "0";
+}
 
 obs::Counter& plan_counter(const char* which, const char* help) {
   return obs::MetricsRegistry::global().counter(
@@ -88,11 +98,16 @@ struct PlanContext {
   int stages = 0;
   FusionScheme scheme = FusionScheme::kBaseline;
   bool env_off = false;      ///< ROADFUSION_PLAN=0 at build
-  bool kc_overflow = false;  ///< some interior conv exceeds one Kc block
+  bool kc_overflow = false;  ///< some conv exceeds one Kc block
+  PackedConv rgb_stem;
+  PackedConv depth_stem;
   std::vector<std::shared_ptr<const BlockPack>> rgb_blocks;    ///< [stage-1]
   std::vector<std::shared_ptr<const BlockPack>> depth_blocks;  ///< [stage-1]
-  std::vector<PackedConv> d2r;  ///< [stage]; stage 0 runs NCHW, entry unused
+  std::vector<PackedConv> d2r;  ///< [stage]
   std::vector<PackedConv> r2d;  ///< AllFilter_B only, same indexing
+  std::vector<PackedConv> up;      ///< decoder upsampling, deepest first
+  std::vector<PackedConv> refine;  ///< decoder refine, same indexing
+  PackedConv head;
   std::mutex mutex;
   std::vector<std::shared_ptr<const CompiledPlan>> plans;
 };
@@ -105,11 +120,14 @@ namespace {
 
 /// The bit-exactness argument (nchwc.hpp) requires the graph-path GEMM to
 /// run its whole reduction in one Kc cache block, so the blocked layout
-/// only covers convs whose lowered depth fits one block.
+/// only runs when every conv's reduction depth fits one block.
+bool fits_one_kc_block(int64_t depth) {
+  return depth <= autograd::kernels::blocked_gemm_config().kc;
+}
+
 bool fits_one_kc_block(const nn::Conv2d& conv) {
-  return conv.in_channels() * conv.geometry().kernel *
-             conv.geometry().kernel <=
-         autograd::kernels::blocked_gemm_config().kc;
+  return fits_one_kc_block(conv.in_channels() * conv.geometry().kernel *
+                           conv.geometry().kernel);
 }
 
 bool block_fits(const nn::ResidualBlock& rb) {
@@ -118,20 +136,41 @@ bool block_fits(const nn::ResidualBlock& rb) {
          (rb.projection() == nullptr || fits_one_kc_block(*rb.projection()));
 }
 
-/// True when every conv the blocked layout would run (stages >= 1) fits.
-bool interior_fits(const RoadSegNet& net) {
-  for (int stage = 1; stage < net.num_stages(); ++stage) {
-    const auto s = static_cast<size_t>(stage);
-    if (!block_fits(net.rgb_encoder().block(stage)) ||
-        !block_fits(net.depth_encoder().block(stage)) ||
-        (s < net.depth_to_rgb_filters().size() &&
-         !fits_one_kc_block(net.depth_to_rgb_filters()[s].conv())) ||
-        (s < net.rgb_to_depth_filters().size() &&
-         !fits_one_kc_block(net.rgb_to_depth_filters()[s].conv()))) {
+bool encoder_fits(const Encoder& encoder) {
+  if (!fits_one_kc_block(encoder.stem().conv())) {
+    return false;
+  }
+  for (int stage = 1; stage < encoder.num_stages(); ++stage) {
+    if (!block_fits(encoder.block(stage))) {
       return false;
     }
   }
   return true;
+}
+
+/// True when every conv the blocked layout runs fits one Kc block: stems,
+/// blocks, fusion filters and the decoder (a 2x2/s2 transposed conv
+/// reduces over its input channels only).
+bool network_fits(const RoadSegNet& net) {
+  if (!encoder_fits(net.rgb_encoder()) || !encoder_fits(net.depth_encoder())) {
+    return false;
+  }
+  for (const auto* filters :
+       {&net.depth_to_rgb_filters(), &net.rgb_to_depth_filters()}) {
+    for (const core::FusionFilter& filter : *filters) {
+      if (!fits_one_kc_block(filter.conv())) {
+        return false;
+      }
+    }
+  }
+  const roadseg::Decoder& decoder = net.decoder();
+  for (int step = 0; step < decoder.num_steps(); ++step) {
+    if (!fits_one_kc_block(decoder.up(step).in_channels()) ||
+        !fits_one_kc_block(decoder.refine(step).conv())) {
+      return false;
+    }
+  }
+  return fits_one_kc_block(decoder.head());
 }
 
 std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
@@ -148,6 +187,11 @@ std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
 }
 
 void pack_blocked(const RoadSegNet& net, PlanContext& ctx) {
+  const auto pack_stem = [](const Encoder& encoder, const char* name) {
+    return pack_conv(encoder.stem().conv(), &encoder.stem().bn(), true, name);
+  };
+  ctx.rgb_stem = pack_stem(net.rgb_encoder(), "rgb.stem");
+  ctx.depth_stem = pack_stem(net.depth_encoder(), "depth.stem");
   for (int stage = 1; stage < ctx.stages; ++stage) {
     auto rgb = pack_block(net.rgb_encoder().block(stage),
                           "rgb.stage" + std::to_string(stage));
@@ -163,13 +207,22 @@ void pack_blocked(const RoadSegNet& net, PlanContext& ctx) {
                                 const char* prefix,
                                 std::vector<PackedConv>& out) {
     out.resize(filters.size());
-    for (size_t stage = 1; stage < filters.size(); ++stage) {
+    for (size_t stage = 0; stage < filters.size(); ++stage) {
       out[stage] = pack_conv(filters[stage].conv(), nullptr, false,
                              prefix + std::to_string(stage));
     }
   };
   pack_filters(net.depth_to_rgb_filters(), "d2r.stage", ctx.d2r);
   pack_filters(net.rgb_to_depth_filters(), "r2d.stage", ctx.r2d);
+  const roadseg::Decoder& decoder = net.decoder();
+  for (int step = 0; step < decoder.num_steps(); ++step) {
+    const std::string tag = std::to_string(ctx.stages - 1 - step);
+    ctx.up.push_back(pack_tconv(decoder.up(step), "decoder.up" + tag));
+    ctx.refine.push_back(pack_conv(decoder.refine(step).conv(),
+                                   &decoder.refine(step).bn(), true,
+                                   "decoder.refine" + tag));
+  }
+  ctx.head = pack_conv(decoder.head(), nullptr, false, "decoder.head");
 }
 
 // ---------------------------------------------------------------------------
@@ -207,6 +260,7 @@ class Compiler {
              plan_->w, "depth");
     int r_in = kRgbInput;
     int d_in = kDepthInput;
+    std::vector<int> skips;  // fused pyramid, stage 0 first
     for (int stage = 0; stage < ctx_.stages; ++stage) {
       const bool last = stage == ctx_.stages - 1;
       int fused = -1;
@@ -261,12 +315,11 @@ class Compiler {
           }
         }
       }
-      plan_->skip_slots.push_back(to_layout(fused, Layout::kNchw));
+      skips.push_back(fused);
       r_in = fused;
       d_in = d_next;
     }
-    enter(kDecoderGroup, -1);
-    push(StepKind::kDecoder, -1, -1);
+    plan_->output = decoder(skips);
     compute_liveness();
     assign_frame();
     plan_counter("compiles_total", "Inference plans compiled").inc();
@@ -274,10 +327,6 @@ class Compiler {
   }
 
  private:
-  Layout stage_layout(int stage) const {
-    return plan_->layout == Layout::kNchwc && stage > 0 ? Layout::kNchwc
-                                                        : Layout::kNchw;
-  }
   int64_t channels(int stage) const {
     return channels_[static_cast<size_t>(stage)];
   }
@@ -307,9 +356,10 @@ class Compiler {
                     Encoder::stage_extent(stage, plan_->w), std::move(label));
   }
 
-  void enter(const char* group, int stage) {
+  void enter(const char* group, int stage, const char* outer = nullptr) {
     group_ = group;
     stage_ = stage;
+    outer_ = outer;
   }
   /// Appends a step to the current span group and its stage.
   Step& push(StepKind kind, int src, int dst) {
@@ -319,7 +369,8 @@ class Compiler {
     s.dst = dst;
     s.group = group_;
     s.stage = stage_;
-    plan_->steps.push_back(s);
+    s.outer = outer_;
+    plan_->steps.push_back(std::move(s));
     return plan_->steps.back();
   }
 
@@ -339,11 +390,22 @@ class Compiler {
     return out;
   }
 
+  /// Appends a blocked conv step running `conv` as layer `layer`.
+  Step& conv_step(const PackedConv& conv, std::string layer, int src,
+                  int dst) {
+    Step& s = push(conv.transposed ? StepKind::kTconvNchwc
+                                   : StepKind::kConvNchwc,
+                   src, dst);
+    s.conv = &conv;
+    s.layer = std::move(layer);
+    return s;
+  }
+
   /// One encoder stage of the RGB or depth branch; `post` >= 0 fuses
   /// fused = out + fusion_weight * post into it.
   int branch(bool rgb, int stage, int input, int post) {
     enter(rgb ? kRgbGroup : kDepthGroup, stage);
-    const Layout layout = stage_layout(stage);
+    const Layout layout = plan_->layout;
     input = to_layout(input, layout);
     if (post >= 0) {
       post = to_layout(post, layout);
@@ -359,22 +421,33 @@ class Compiler {
       }
       return out;
     }
+    const std::string layer = rgb ? "rgb" : "depth";
+    if (stage == 0) {
+      // Stem: one conv with the BN+ReLU epilogue and the fusion sum as
+      // `post`, reading the converted input.
+      const int out = stage_slot(layout, stage, who);
+      conv_step(rgb ? ctx_.rgb_stem : ctx_.depth_stem, layer + ".stem", input,
+                out)
+          .post = post;
+      return out;
+    }
     // Residual block: conv1, (projection), conv2 with the shortcut fused
-    // as `pre` and the fusion sum as `post`.
+    // as `pre` and the fusion sum as `post`. A shared stage's depth branch
+    // runs the rgb pack under its own layer name.
     const BlockPack& bp = *(rgb ? ctx_.rgb_blocks : ctx_.depth_blocks)
                                [static_cast<size_t>(stage - 1)];
+    const std::string name = layer + tag(stage);
     const int t1 = stage_slot(layout, stage, who + ".conv1");
-    push(StepKind::kConvNchwc, input, t1).conv = &bp.conv1;
+    conv_step(bp.conv1, name + ".conv1", input, t1);
     int pre = input;  // identity shortcut (requires matching geometry)
     if (bp.proj != nullptr) {
       pre = stage_slot(layout, stage, who + ".proj");
-      push(StepKind::kConvNchwc, input, pre).conv = bp.proj.get();
+      conv_step(*bp.proj, name + ".proj", input, pre);
     }
     const int out = stage_slot(layout, stage, who);
-    Step& s2 = push(StepKind::kConvNchwc, t1, out);
+    Step& s2 = conv_step(bp.conv2, name + ".conv2", t1, out);
     s2.pre = pre;
     s2.post = post;
-    s2.conv = &bp.conv2;
     return out;
   }
 
@@ -382,7 +455,7 @@ class Compiler {
   /// AllFilter_B's reverse path) applied to `input`.
   int match(int stage, bool depth_to_rgb, int input, const char* label) {
     enter(kFusionGroup, stage);
-    const Layout layout = stage_layout(stage);
+    const Layout layout = plan_->layout;
     input = to_layout(input, layout);
     const int out = stage_slot(layout, stage, label + tag(stage));
     const auto s = static_cast<size_t>(stage);
@@ -391,8 +464,8 @@ class Compiler {
           depth_to_rgb ? &net_.depth_to_rgb_filters()[s]
                        : &net_.rgb_to_depth_filters()[s];
     } else {
-      push(StepKind::kConvNchwc, input, out).conv =
-          depth_to_rgb ? &ctx_.d2r[s] : &ctx_.r2d[s];
+      conv_step(depth_to_rgb ? ctx_.d2r[s] : ctx_.r2d[s],
+                (depth_to_rgb ? "d2r" : "r2d") + tag(stage), input, out);
     }
     return out;
   }
@@ -404,14 +477,13 @@ class Compiler {
   int persist(int stage, Compute&& compute) {
     int slot = -1;
     if (mode_ == Mode::kStreamHit) {
-      slot = stage_slot(stage_layout(stage), stage, "cached" + tag(stage));
+      slot = stage_slot(plan_->layout, stage, "cached" + tag(stage));
     } else {
       slot = compute();
     }
     if (mode_ == Mode::kStreamFill || mode_ == Mode::kStreamHit) {
       SlotDef& def = plan_->slots[static_cast<size_t>(slot)];
-      ROADFUSION_CHECK(def.layout == stage_layout(stage) && def.c ==
-                           channels(stage),
+      ROADFUSION_CHECK(def.layout == plan_->layout && def.c == channels(stage),
                        "plan: cached slot " << def.label
                                             << " has the wrong geometry");
       def.persistent = stage;
@@ -432,6 +504,38 @@ class Compiler {
             ? stage_slot(Layout::kNchw, stage, "matched" + tag(stage))
             : d;
     push(StepKind::kAwnFuse, d, fused).aux = scaled;
+  }
+
+  /// The decoder over the fused pyramid `skips` (stage 0 first); returns
+  /// the NCHW logits slot. The NCHW layout runs the decoder's own
+  /// forward_infer; the blocked one runs each step as a transposed conv
+  /// with the skip add in its epilogue, then the BN+ReLU refine conv, and
+  /// the head writes the logits directly.
+  int decoder(const std::vector<int>& skips) {
+    const int logits =
+        new_slot(Layout::kNchw, 1, plan_->h, plan_->w, "logits");
+    if (plan_->layout == Layout::kNchw) {
+      enter(kDecoderGroup, -1);
+      push(StepKind::kDecoder, -1, logits);
+      plan_->skip_slots = skips;
+      return logits;
+    }
+    int x = skips.back();
+    for (int step = 0; step + 1 < ctx_.stages; ++step) {
+      const int target = ctx_.stages - 2 - step;
+      const std::string tag = std::to_string(target + 1);
+      enter(kUpGroup, step, kDecoderGroup);
+      x = to_layout(x, Layout::kNchwc);  // WeightedSharing's AWN output
+      const int up = stage_slot(Layout::kNchwc, target, "up" + tag);
+      conv_step(ctx_.up[static_cast<size_t>(step)], "decoder.up" + tag, x, up)
+          .pre = skips[static_cast<size_t>(target)];
+      x = stage_slot(Layout::kNchwc, target, "refined" + tag);
+      conv_step(ctx_.refine[static_cast<size_t>(step)],
+                "decoder.refine" + tag, up, x);
+    }
+    enter(kHeadGroup, -1, kDecoderGroup);
+    conv_step(ctx_.head, "decoder.head", x, logits);
+    return logits;
   }
 
   void compute_liveness() {
@@ -516,6 +620,7 @@ class Compiler {
   std::shared_ptr<CompiledPlan> plan_;
   const char* group_ = nullptr;
   int stage_ = -1;
+  const char* outer_ = nullptr;
 };
 
 /// The compiled plan for this call, compiled on first use.
@@ -571,14 +676,13 @@ class Executor {
 
   Tensor run() {
     const obs::ScopedSpan plan_span("plan.execute");
-    std::optional<Tensor> out;  // set by the decoder step
     if (plan_.mode_span != nullptr) {
       const obs::ScopedSpan mode_span(plan_.mode_span);
-      run_groups(out);
+      run_spans();
     } else {
-      run_groups(out);
+      run_spans();
     }
-    return std::move(*out);
+    return std::move(tensor(plan_.output));
   }
 
  private:
@@ -629,14 +733,29 @@ class Executor {
     }
     return tensor(idx).raw();
   }
-  /// Storage for a kernel that writes the whole slot.
-  float* define(int idx) {
+  /// Any slot's storage for reading, the caller's inputs included; null
+  /// for no slot.
+  const float* view(int idx) {
+    if (idx < 0) {
+      return nullptr;
+    }
+    return idx == kRgbInput || idx == kDepthInput ? read(idx).raw()
+                                                  : data(idx);
+  }
+  /// Storage for a kernel that writes the slot's interior. A frame slot
+  /// may hold an earlier slot's values: its border ring must read as 0,
+  /// and so must its padded lanes unless `all_lanes` (the conv kernels
+  /// write every lane of the interior; a layout conversion only the real
+  /// channels).
+  float* define(int idx, bool all_lanes) {
     const SlotDef& d = def(idx);
     if (d.layout == Layout::kNchwc && d.persistent < 0) {
-      // The conv kernels only write the interior: the border ring and
-      // padded lanes must read as 0.
       float* p = frame().data() + d.offset;
-      std::fill(p, p + d.shape.numel(), 0.0f);
+      if (all_lanes) {
+        zero_border(p, d.n, d.c, d.h, d.w);
+      } else {
+        std::fill(p, p + d.shape.numel(), 0.0f);
+      }
       return p;
     }
     if (d.persistent < 0) {
@@ -656,35 +775,52 @@ class Executor {
     table()[static_cast<size_t>(idx)] = std::move(value);
   }
 
-  /// Runs the steps, one span per run of consecutive same-group steps.
-  void run_groups(std::optional<Tensor>& out) {
+  /// Runs the steps under one span per run of consecutive steps with the
+  /// same outer span (none for the encoder and fusion steps).
+  void run_spans() {
     const size_t count = plan_.steps.size();
     for (size_t begin = 0, end = 0; begin < count; begin = end) {
+      const char* outer = plan_.steps[begin].outer;
+      while (end < count && plan_.steps[end].outer == outer) {
+        ++end;
+      }
+      if (outer != nullptr) {
+        const obs::ScopedSpan span(outer);
+        run_groups(begin, end);
+      } else {
+        run_groups(begin, end);
+      }
+    }
+  }
+
+  /// Runs steps [begin, end), one span per run of same-group steps.
+  void run_groups(size_t first, size_t last) {
+    for (size_t begin = first, end = first; begin < last; begin = end) {
       const Step& head = plan_.steps[begin];
-      while (end < count && plan_.steps[end].group == head.group &&
+      while (end < last && plan_.steps[end].group == head.group &&
              plan_.steps[end].stage == head.stage) {
         ++end;
       }
       if (head.stage >= 0) {
         const obs::ScopedSpan span(head.group, head.stage);
-        run_steps(begin, end, out);
+        run_steps(begin, end);
       } else {
         const obs::ScopedSpan span(head.group);
-        run_steps(begin, end, out);
+        run_steps(begin, end);
       }
     }
   }
 
-  void run_steps(size_t begin, size_t end, std::optional<Tensor>& out) {
+  void run_steps(size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
-      step(plan_.steps[j], out);
+      step(plan_.steps[j]);
       for (int idx : plan_.release_after[j]) {
         table()[static_cast<size_t>(idx)].reset();
       }
     }
   }
 
-  void step(const Step& st, std::optional<Tensor>& out) {
+  void step(const Step& st) {
     switch (st.kind) {
       case StepKind::kEncoderStage: {
         const Tensor& in = read(st.src);
@@ -702,24 +838,36 @@ class Executor {
         break;
       case StepKind::kConvertToNchwc: {
         const SlotDef& sd = def(st.src);
-        convert_to_nchwc(data(st.src), sd.n, sd.c, sd.h, sd.w,
-                         define(st.dst));
+        convert_to_nchwc(view(st.src), sd.n, sd.c, sd.h, sd.w,
+                         define(st.dst, false));
         break;
       }
       case StepKind::kConvertToNchw: {
         const SlotDef& sd = def(st.src);
         convert_to_nchw(data(st.src), sd.n, sd.c, sd.h, sd.w,
-                        define(st.dst));
+                        define(st.dst, false));
         break;
       }
       case StepKind::kConvNchwc: {
-        const obs::ScopedSpan span("plan.conv", st.stage);
+        // The interior convs (stages >= 1) time their kernel per stage;
+        // stem and decoder steps count in their stage's or step's span.
+        std::optional<obs::ScopedSpan> span;
+        if (st.outer == nullptr && st.stage > 0) {
+          span.emplace("plan.conv", st.stage);
+        }
         const SlotDef& sd = def(st.src);
         const SlotDef& dd = def(st.dst);
-        float* dst = define(st.dst);
-        conv_nchwc(data(st.src), dd.n, sd.h, sd.w, *st.conv, dst, dd.h, dd.w,
-                   st.pre >= 0 ? data(st.pre) : nullptr,
-                   st.post >= 0 ? data(st.post) : nullptr, fusion_weight_);
+        float* dst = define(st.dst, true);
+        conv_nchwc(view(st.src), dd.n, sd.h, sd.w, *st.conv, dst, dd.h, dd.w,
+                   view(st.pre), view(st.post), fusion_weight_,
+                   dd.layout == Layout::kNchw);
+        break;
+      }
+      case StepKind::kTconvNchwc: {
+        const SlotDef& sd = def(st.src);
+        float* dst = define(st.dst, true);
+        tconv_nchwc(view(st.src), sd.n, sd.h, sd.w, *st.conv, dst,
+                    view(st.pre));
         break;
       }
       case StepKind::kAddInPlace:
@@ -732,7 +880,8 @@ class Executor {
       case StepKind::kAwnFuse: {
         Tensor& r = tensor(st.dst);
         const Tensor& d = tensor(st.src);
-        float* pm = st.aux == st.src ? tensor(st.src).raw() : define(st.aux);
+        float* pm =
+            st.aux == st.src ? tensor(st.src).raw() : define(st.aux, false);
         {
           const obs::ScopedSpan awn_span("awn.weight");
           const Tensor wgt = net_.awn()->weight_infer(r, d);
@@ -757,8 +906,8 @@ class Executor {
         for (int idx : plan_.skip_slots) {
           maps.push_back(std::move(tensor(idx)));
         }
-        out.emplace(net_.decoder().forward_infer(
-            maps.data(), static_cast<int>(maps.size())));
+        put(st.dst, net_.decoder().forward_infer(
+                        maps.data(), static_cast<int>(maps.size())));
         maps.clear();
         break;
       }
@@ -816,7 +965,7 @@ std::string epilogue_str(const Step& st) {
     add("bn");
   }
   if (st.pre >= 0) {
-    add("residual");
+    add(st.kind == StepKind::kTconvNchwc ? "skip" : "residual");
   }
   if (st.conv != nullptr && st.conv->relu) {
     add("relu");
@@ -868,9 +1017,8 @@ std::shared_ptr<PlanContext> build(const RoadSegNet& net) {
   ctx->epoch = nn::current_inference_epoch();
   ctx->stages = net.num_stages();
   ctx->scheme = net.config().scheme;
-  const char* env = std::getenv("ROADFUSION_PLAN");
-  ctx->env_off = env != nullptr && std::string(env) == "0";
-  ctx->kc_overflow = !interior_fits(net);
+  ctx->env_off = env_plan_off();
+  ctx->kc_overflow = !network_fits(net);
   if (!ctx->env_off && !ctx->kc_overflow) {
     pack_blocked(net, *ctx);
   }
@@ -880,6 +1028,10 @@ std::shared_ptr<PlanContext> build(const RoadSegNet& net) {
 
 bool current(const PlanContext& ctx) {
   return ctx.epoch == nn::current_inference_epoch();
+}
+
+bool reusable(const PlanContext& ctx) {
+  return current(ctx) && ctx.env_off == env_plan_off();
 }
 
 LayoutChoice choose_layout(const PlanContext& ctx) {
@@ -892,13 +1044,18 @@ LayoutChoice choose_layout(const PlanContext& ctx) {
   if (quant::calibrating()) {
     return {Layout::kNchw, "nchw: calibrating activation scales"};
   }
+  if (tune::problem_recording()) {
+    return {Layout::kNchw, "nchw: recording conv problems for tuning"};
+  }
   if (!tune::forced_solver().empty()) {
     return {Layout::kNchw, "nchw: forced solver (ROADFUSION_SOLVER)"};
   }
   if (ctx.kc_overflow) {
     return {Layout::kNchw, "nchw: a conv exceeds one GEMM Kc block"};
   }
-  return {Layout::kNchwc, "nchwc8: blocked direct conv for stages >= 1"};
+  return {Layout::kNchwc,
+          "nchwc8: blocked direct conv for every conv (stems, encoder, "
+          "fusion filters, decoder)"};
 }
 
 LayoutChoice layout_for(const RoadSegNet& net) {
@@ -1019,15 +1176,19 @@ std::string explain(const RoadSegNet& net, int64_t n, int64_t h,
            << slot_str(*plan, st.dst);
         break;
       case StepKind::kConvNchwc:
-        os << "conv" << st.conv->kernel << "x" << st.conv->kernel << "/s"
-           << st.conv->stride << "   layout=nchwc8 solver=nchwc_direct"
+      case StepKind::kTconvNchwc:
+        os << (st.conv->transposed ? "tconv" : "conv") << st.conv->kernel
+           << "x" << st.conv->kernel << "/s" << st.conv->stride
+           << (st.conv->transposed ? " " : "   ")
+           << "layout=nchwc8 solver=nchwc_direct"
            << (common::active_tier() >= common::CpuTier::kAvx2 ? "_avx2"
                                                                : "")
-           << " layer=" << st.conv->name << " epilogue=" << epilogue_str(st)
+           << " layer=" << st.layer << " epilogue=" << epilogue_str(st)
            << " " << slot_str(*plan, st.src) << " -> "
            << slot_str(*plan, st.dst);
         if (st.pre >= 0) {
-          os << " pre=" << slot_str(*plan, st.pre);
+          os << (st.conv->transposed ? " skip=" : " pre=")
+             << slot_str(*plan, st.pre);
         }
         if (st.post >= 0) {
           os << " post=" << slot_str(*plan, st.post);
@@ -1052,18 +1213,21 @@ std::string explain(const RoadSegNet& net, int64_t n, int64_t h,
         for (size_t i = 0; i < plan->skip_slots.size(); ++i) {
           os << (i == 0 ? "" : ", ") << "%" << plan->skip_slots[i];
         }
-        os << "} -> logits";
+        os << "} -> " << slot_str(*plan, st.dst);
         break;
       }
     }
-    if (!plan->release_after[j].empty()) {
-      os << "  free={";
-      for (size_t i = 0; i < plan->release_after[j].size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "%" << plan->release_after[j][i];
+    // Transient slots whose storage is reusable after this step: NCHW
+    // tensors go back to the arena, NCHWc frame space to later slots.
+    const char* sep = "  free={";
+    for (size_t i = kDepthInput + 1; i < plan->slots.size(); ++i) {
+      const SlotDef& def = plan->slots[i];
+      if (def.last_use == static_cast<int>(j) && def.persistent < 0) {
+        os << sep << "%" << i;
+        sep = ", ";
       }
-      os << "}";
     }
-    os << "\n";
+    os << (sep[0] == ',' ? "}\n" : "\n");
   }
   return os.str();
 }

@@ -2,22 +2,25 @@
 //
 // The plan is the one inference path of a RoadSegNet in eval mode. The
 // compiler walks the fusion graph once per (input geometry, layout,
-// serving mode) and emits a flat schedule; the executor runs it with the
-// transient buffers drawn from the workspace arena and released at their
-// last use. Serving modes: fused, RGB-only (fusion weight 0), stream
-// fill and stream hit (the cross-frame depth-feature cache lives in
-// persistent plan slots).
+// serving mode) and emits a flat schedule; the executor runs it with
+// blocked buffers laid out in a per-thread frame and NCHW buffers drawn
+// from the workspace arena, each reused after its last read. Serving
+// modes: fused, RGB-only (fusion weight 0), stream fill and stream hit
+// (the cross-frame depth-feature cache lives in persistent plan slots).
 //
-// Each plan runs its encoder interior in one of two layouts:
-//  * NCHWc8 — a blocked direct conv with the residual add, fusion-filter
-//    match, fusion sum and AWN inputs fused into conv epilogues;
+// Each plan runs the whole network in one of two layouts:
+//  * NCHWc8 — every conv as a blocked direct conv: the stems read the
+//    converted caller input, the residual add, fusion-filter match and
+//    fusion sum are fused into conv epilogues, the decoder's transposed
+//    convs add their skip in the epilogue, and the head writes the NCHW
+//    logits. Only the WeightedSharing AWN runs on NCHW;
 //  * NCHW — every layer through its own forward_infer, so the tune
 //    solver registry and the int8 kernels serve each conv.
 // NCHW is chosen whenever the registry's kernels must run (int8 mode,
-// calibration, a forced solver), when a conv does not fit one GEMM Kc
-// block (the blocked kernel's exactness argument), or when
-// ROADFUSION_PLAN=0. Both layouts are bitwise equal to the graph path in
-// fp32.
+// calibration, conv-problem recording for tuning, a forced solver), when
+// a conv does not fit one GEMM Kc block (the blocked kernels' exactness
+// argument), or when ROADFUSION_PLAN=0. Both layouts are bitwise equal to
+// the graph path in fp32.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +54,10 @@ std::shared_ptr<PlanContext> build(const roadseg::RoadSegNet& net);
 /// True while `ctx` still reflects the network's parameters (no
 /// optimizer step, checkpoint load or training-mode flip since build).
 bool current(const PlanContext& ctx);
+
+/// True while `ctx` is current and ROADFUSION_PLAN still reads as it did
+/// at build, so a fresh build would pack the same context.
+bool reusable(const PlanContext& ctx);
 
 /// The layout the next run against `ctx` takes.
 LayoutChoice choose_layout(const PlanContext& ctx);

@@ -40,6 +40,17 @@ class Decoder : public nn::Module {
   /// Complexity for a stage-0 feature map of the given spatial size.
   Complexity complexity(int64_t full_h, int64_t full_w) const;
 
+  /// Structural accessors for the inference plan compiler (DESIGN.md §16):
+  /// one (up, refine) pair per step, deepest transition first.
+  int num_steps() const { return static_cast<int>(up_.size()); }
+  const nn::ConvTranspose2d& up(int step) const {
+    return up_[static_cast<size_t>(step)];
+  }
+  const nn::ConvBnRelu& refine(int step) const {
+    return refine_[static_cast<size_t>(step)];
+  }
+  const nn::Conv2d& head() const { return head_; }
+
  private:
   std::vector<int64_t> stage_channels_;
   std::vector<nn::ConvTranspose2d> up_;     // deepest first

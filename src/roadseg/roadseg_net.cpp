@@ -218,8 +218,16 @@ void RoadSegNet::prepare_inference() {
   decoder_->prepare_inference();
   // (Re)build the plan last: it snapshots the weights and the eval-BN
   // factors the calls above just refreshed. Only meaningful in eval mode —
-  // the plan replays eval arithmetic.
-  std::atomic_store(&plan_, training_ ? nullptr : plan::build(*this));
+  // the plan replays eval arithmetic. A context that is still current is
+  // kept with its compiled plans: every engine over a shared net (one per
+  // front-door shard) prepares it again.
+  std::shared_ptr<plan::PlanContext> ctx = std::atomic_load(&plan_);
+  if (training_) {
+    ctx = nullptr;
+  } else if (ctx == nullptr || !plan::reusable(*ctx)) {
+    ctx = plan::build(*this);
+  }
+  std::atomic_store(&plan_, ctx);
 }
 
 nn::Complexity RoadSegNet::complexity(int64_t height, int64_t width) const {

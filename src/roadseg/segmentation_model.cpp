@@ -71,7 +71,7 @@ tensor::Tensor raw_predict(const tensor::Tensor& rgb,
                       : std::exp(v) / (1.0f + std::exp(v));
   }
   if (rgb.shape().rank() == 3) {
-    out = out.reshaped(
+    out = std::move(out).reshaped(
         tensor::Shape::chw(1, rgb.shape().dim(1), rgb.shape().dim(2)));
   }
   return out;

@@ -82,8 +82,10 @@ class Tensor {
   float* raw() { return data_; }
   const float* raw() const { return data_; }
 
-  /// Reinterprets the storage with a new shape of identical numel.
-  Tensor reshaped(const Shape& shape) const;
+  /// A copy with a new shape of identical numel.
+  Tensor reshaped(const Shape& shape) const&;
+  /// Same, taking over this tensor's storage instead of copying it.
+  Tensor reshaped(const Shape& shape) &&;
 
   /// Sets every element to `value`.
   void fill(float value);

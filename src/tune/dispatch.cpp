@@ -292,6 +292,12 @@ void set_problem_recording(bool enabled) {
   drop_bindings_locked(s);
 }
 
+bool problem_recording() {
+  State& s = state();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  return s.recording;
+}
+
 std::vector<ConvProblem> recorded_problems() {
   State& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);

@@ -75,8 +75,10 @@ void force_solver(const std::string& name);
 std::string forced_solver();
 
 /// Unique-problem recording, used by `roadfusion tune` to discover the
-/// model's conv shapes by running one representative predict.
+/// model's conv shapes by running one representative predict (the
+/// inference plan runs its registry-served NCHW layout while recording).
 void set_problem_recording(bool enabled);
+bool problem_recording();
 std::vector<ConvProblem> recorded_problems();
 void clear_recorded_problems();
 

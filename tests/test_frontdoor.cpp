@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "runtime/engine.hpp"
 #include "serve/backoff.hpp"
@@ -517,6 +518,31 @@ TEST_F(FrontDoorTest, TwoShardFallbackServesWhenPrimaryIsFull) {
   EXPECT_GT(stats.shards[0].requests_served, 0u);
   EXPECT_GT(stats.shards[1].requests_served, 0u);
   door.shutdown();
+}
+
+TEST_F(FrontDoorTest, ShardEnginesKeepTheSharedNetsCompiledPlans) {
+  // Every shard's engine prepares the one shared net. A plan context that
+  // still matches the parameters must survive that with the plans already
+  // compiled into it, not be rebuilt once per shard.
+  net_->set_training(false);
+  net_->prepare_inference();
+  (void)net_->predict(rgb(), depth());  // compiles the batch-1 fused plan
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& builds = registry.counter("roadfusion_plan_builds_total");
+  obs::Counter& compiles = registry.counter("roadfusion_plan_compiles_total");
+  const uint64_t builds_before = builds.value();
+  const uint64_t compiles_before = compiles.value();
+  FrontDoorConfig config;
+  config.shards = 2;
+  config.engine.threads = 1;
+  config.engine.max_batch = 1;
+  FrontDoor door(*net_, config);
+  (void)door.submit(rgb(3), depth(3), ServeOptions{}).get();
+  door.shutdown();
+  EXPECT_EQ(builds.value(), builds_before)
+      << "a shard's engine rebuilt the shared net's plan context";
+  EXPECT_EQ(compiles.value(), compiles_before)
+      << "a shard's engine dropped the plans the net had compiled";
 }
 
 // ---------------------------------------------------------------------------

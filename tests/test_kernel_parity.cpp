@@ -5,7 +5,9 @@
 // repository can express, and the three raw GEMM forms must agree with the
 // reference kernels at sizes that straddle the register-tile and
 // cache-block boundaries. A seeded fuzz loop sweeps ~200 random geometries
-// on top of the hand-picked grid.
+// on top of the hand-picked grid. The inference plan's NCHWc8 transposed
+// conv and NCHW-writing head must match the layers they replace bitwise,
+// at every CPU tier.
 //
 // Tolerance: the reference values accumulate in double while the kernels
 // accumulate in float, so exact equality is out; parity is
@@ -25,6 +27,8 @@
 #include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
 #include "common/cpu.hpp"
+#include "nn/layers.hpp"
+#include "plan/nchwc.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "tune/dispatch.hpp"
@@ -600,6 +604,175 @@ TEST(KernelParity, TransposedSolversMatchReferenceGemm) {
   for (const tune::ConvProblem& p : problems) {
     expect_tconv_solver_parity(p, 0);   // contiguous B
     expect_tconv_solver_parity(p, 13);  // strided window into a wider plane
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Inference plan kernels (DESIGN.md §16): the NCHWc8 transposed conv with
+// its fused skip add, and the direct conv writing dense NCHW (the decoder
+// head), against the registry-served layers, bitwise, at every CPU tier.
+// ---------------------------------------------------------------------------
+
+/// `t` (N, C, H, W) in the zero-bordered NCHWc8 layout.
+std::vector<float> to_blocked(const Tensor& t) {
+  const Shape& s = t.shape();
+  std::vector<float> out(static_cast<size_t>(plan::nchwc_floats(
+                             s.batch(), s.channels(), s.height(), s.width())),
+                         0.0f);
+  plan::convert_to_nchwc(t.raw(), s.batch(), s.channels(), s.height(),
+                         s.width(), out.data());
+  return out;
+}
+
+void expect_same_bits(const float* a, const float* b, int64_t count,
+                      const std::string& what) {
+  for (int64_t i = 0; i < count; ++i) {
+    uint32_t ua = 0;
+    uint32_t ub = 0;
+    std::memcpy(&ua, a + i, sizeof ua);
+    std::memcpy(&ub, b + i, sizeof ub);
+    ASSERT_EQ(ua, ub) << what << ": bits differ at flat index " << i << " ("
+                      << a[i] << " vs " << b[i] << ")";
+  }
+}
+
+/// The tiers the host can run, scalar first.
+std::vector<common::CpuTier> runnable_tiers() {
+  std::vector<common::CpuTier> tiers = {common::CpuTier::kScalar};
+  for (const common::CpuTier tier :
+       {common::CpuTier::kSse2, common::CpuTier::kAvx2}) {
+    if (common::detected_tier() >= tier) {
+      tiers.push_back(tier);
+    }
+  }
+  return tiers;
+}
+
+struct TconvCase {
+  int64_t n, cin, cout, h, w;
+};
+
+/// Runs `tconv_nchwc` on every runnable tier and checks each blocked
+/// output — border and padded lanes included — against the scalar one,
+/// and its real channels against the layer's forward_infer followed by
+/// the graph's elementwise skip add.
+void expect_tconv_parity(const nn::ConvTranspose2d& layer, const Tensor& x,
+                         const Tensor& skip, const std::string& what) {
+  const Shape& xs = x.shape();
+  Tensor expected = layer.forward_infer(x);
+  for (int64_t i = 0; i < expected.numel(); ++i) {
+    expected.raw()[i] += skip.raw()[i];
+  }
+  const plan::PackedConv packed = plan::pack_tconv(layer, what);
+  const std::vector<float> src = to_blocked(x);
+  const std::vector<float> skip_blocked = to_blocked(skip);
+  const int64_t cout = layer.out_channels();
+  const size_t floats = static_cast<size_t>(
+      plan::nchwc_floats(xs.batch(), cout, 2 * xs.height(), 2 * xs.width()));
+  const common::CpuTier saved = common::active_tier();
+  std::vector<float> scalar_out;
+  for (const common::CpuTier tier : runnable_tiers()) {
+    common::set_active_tier(tier);
+    const std::string at = what + " tier=" + common::tier_name(tier);
+    std::vector<float> out(floats, 0.0f);
+    plan::tconv_nchwc(src.data(), xs.batch(), xs.height(), xs.width(), packed,
+                      out.data(), skip_blocked.data());
+    Tensor dense(expected.shape());
+    plan::convert_to_nchw(out.data(), xs.batch(), cout, 2 * xs.height(),
+                          2 * xs.width(), dense.raw());
+    expect_same_bits(dense.raw(), expected.raw(), expected.numel(),
+                     at + " vs layer");
+    if (scalar_out.empty()) {
+      scalar_out = out;
+    } else {
+      expect_same_bits(out.data(), scalar_out.data(),
+                       static_cast<int64_t>(floats), at + " vs scalar");
+    }
+  }
+  common::set_active_tier(saved);
+}
+
+TEST(KernelParity, NchwcTransposedConvMatchesLayerAtEveryTier) {
+  // Input widths 1-7 put the six-column AVX2 tile (three input columns)
+  // and its remainder loop on every split; channel counts straddle the
+  // 8-lane grid on both sides.
+  const TconvCase cases[] = {
+      {1, 8, 8, 4, 6},   {1, 16, 12, 3, 3},  {2, 12, 10, 3, 5},
+      {1, 3, 5, 2, 7},   {1, 9, 17, 1, 1},   {3, 24, 16, 2, 4},
+      {1, 32, 24, 2, 6}, {1, 45, 9, 2, 2},   {2, 6, 4, 5, 8},
+  };
+  for (const TconvCase& c : cases) {
+    Rng rng(static_cast<uint64_t>(c.cin * 131 + c.cout * 7 + c.w));
+    const nn::ConvTranspose2d layer("up", c.cin, c.cout, 2, 2, 0, false, rng);
+    const Tensor x = Tensor::normal(Shape::nchw(c.n, c.cin, c.h, c.w), rng);
+    const Tensor skip =
+        Tensor::normal(Shape::nchw(c.n, c.cout, 2 * c.h, 2 * c.w), rng);
+    expect_tconv_parity(layer, x, skip,
+                        "tconv n" + std::to_string(c.n) + "_c" +
+                            std::to_string(c.cin) + "to" +
+                            std::to_string(c.cout) + "_" +
+                            std::to_string(c.h) + "x" + std::to_string(c.w));
+  }
+}
+
+TEST(KernelParity, NchwcTransposedConvNegativeZeroProductsAgainstNegativeZeroSkip) {
+  // Zero weights over negative inputs make every product -0.0f. The graph
+  // accumulates them from +0.0f, col2im adds that into a zeroed output
+  // and the skip add then sees (+0.0f) + (-0.0f) = +0.0f; a chain started
+  // from the first product, or a skip added straight to the dot product,
+  // yields -0.0f instead.
+  Rng rng(3);
+  nn::ConvTranspose2d layer("up", 12, 10, 2, 2, 0, false, rng);
+  std::vector<nn::ParameterPtr> params;
+  layer.collect_parameters(params);
+  params.front()->var.mutable_value().fill(0.0f);
+  Tensor x = Tensor::uniform(Shape::nchw(1, 12, 3, 5), rng, -2.0f, -1.0f);
+  Tensor skip(Shape::nchw(1, 10, 6, 10));
+  skip.fill(-0.0f);
+  expect_tconv_parity(layer, x, skip, "tconv -0.0");
+  const std::vector<float> src = to_blocked(x);
+  const std::vector<float> skip_blocked = to_blocked(skip);
+  std::vector<float> out(static_cast<size_t>(plan::nchwc_floats(1, 10, 6, 10)),
+                         0.0f);
+  plan::tconv_nchwc(src.data(), 1, 3, 5, plan::pack_tconv(layer, "up"),
+                    out.data(), skip_blocked.data());
+  for (const float v : out) {
+    ASSERT_FALSE(std::signbit(v)) << "a -0.0f escaped the epilogue";
+  }
+}
+
+TEST(KernelParity, NchwcConvWritesDenseNchwLikeTheLayerAtEveryTier) {
+  // The decoder head (1x1, 8 -> 1, bias) and wider 1x1/3x3 convs whose
+  // output blocks end in padded lanes, at widths off the six-column tile.
+  struct HeadCase {
+    int64_t n, cin, cout, kernel, h, w;
+  };
+  const HeadCase cases[] = {{1, 8, 1, 1, 4, 12}, {2, 6, 1, 1, 3, 7},
+                            {1, 12, 10, 1, 2, 5}, {1, 5, 3, 3, 4, 9},
+                            {2, 9, 17, 3, 3, 13}};
+  for (const HeadCase& c : cases) {
+    Rng rng(static_cast<uint64_t>(c.cin * 17 + c.cout + c.w));
+    const nn::Conv2d conv("head", c.cin, c.cout, c.kernel, 1,
+                          c.kernel == 3 ? 1 : 0, true, rng);
+    const Tensor x = Tensor::normal(Shape::nchw(c.n, c.cin, c.h, c.w), rng);
+    const Tensor expected = conv.forward_infer(x);
+    const plan::PackedConv packed = plan::pack_conv(conv, nullptr, false,
+                                                    "head");
+    const std::vector<float> src = to_blocked(x);
+    const std::string what = "head c" + std::to_string(c.cin) + "to" +
+                             std::to_string(c.cout) + " k" +
+                             std::to_string(c.kernel) + " " +
+                             std::to_string(c.h) + "x" + std::to_string(c.w);
+    const common::CpuTier saved = common::active_tier();
+    for (const common::CpuTier tier : runnable_tiers()) {
+      common::set_active_tier(tier);
+      Tensor out(expected.shape());
+      plan::conv_nchwc(src.data(), c.n, c.h, c.w, packed, out.raw(), c.h, c.w,
+                       nullptr, nullptr, 1.0f, /*nchw_out=*/true);
+      expect_same_bits(out.raw(), expected.raw(), expected.numel(),
+                       what + " tier=" + common::tier_name(tier));
+    }
+    common::set_active_tier(saved);
   }
 }
 

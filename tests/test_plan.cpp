@@ -260,11 +260,22 @@ TEST(PlanExplain, PrintsScheduleWithLayoutsSolversAndSlots) {
         "stream_hit=", "layout=nchwc8", "solver=nchwc_direct",
         "epilogue=bn+relu", "epilogue=bn+residual+relu+fusion_sum",
         "to_nchwc", "to_nchw", "decoder", "free={", "d2r.stage1",
-        "layer=rgb.stage0"}) {
+        "layer=rgb.stem", "layer=d2r.stage0", "tconv2x2/s2",
+        "epilogue=skip", "layer=decoder.refine1",
+        "layer=decoder.head epilogue=bias", "logits(1x1x32x48 nchw)"}) {
     EXPECT_NE(report.find(needle), std::string::npos)
         << "missing '" << needle << "' in:\n"
         << report;
   }
+  // The whole network runs blocked: no step is left on the NCHW layers.
+  EXPECT_EQ(report.find("layout=nchw "), std::string::npos) << report;
+  // A shared stage's depth branch runs the rgb pack under its own name.
+  RoadSegNet shared(config_for(FusionScheme::kBaseSharing), rng);
+  shared.set_training(false);
+  shared.prepare_inference();
+  const std::string shared_report = explain(shared, 1, 32, 48);
+  EXPECT_NE(shared_report.find("layer=depth.stage4.conv1"), std::string::npos)
+      << shared_report;
 }
 
 TEST(PlanZeroAlloc, EveryServingModeIsAllocationFreeFromTheSecondCall) {
@@ -335,9 +346,10 @@ TEST(PlanArena, OneArenaPerThreadServesEveryMode) {
 }
 
 // ---------------------------------------------------------------------------
-// Generated configs: random stage counts 2-5, widths off the 8-lane grid,
-// one config whose width overflows a Kc block (it must compile in the
-// NCHW layout), odd geometry, at every CPU dispatch tier.
+// Generated configs: random stage counts 2-5, widths off the 8-lane grid
+// (stage 0 included, so the stems, the last refine and the head run with
+// padded lanes), one config whose width overflows a Kc block (it must
+// compile in the NCHW layout), odd geometry, at every CPU dispatch tier.
 // ---------------------------------------------------------------------------
 
 TEST(PlanGenerated, RandomConfigsMatchGraphAtEveryTier) {
@@ -358,6 +370,7 @@ TEST(PlanGenerated, RandomConfigsMatchGraphAtEveryTier) {
       }
       config.stage_channels.push_back(c);
     }
+    ASSERT_NE(config.stage_channels.front() % 8, 0);
     // Trial 5 widens its deepest stage past one Kc block: 45 * 9 > 384.
     const bool overflow = trial == 5;
     if (overflow) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -860,7 +861,11 @@ TEST(TuneEndToEnd, PerfDbRebindsNetworkConvsBitExactly) {
   roadseg::RoadSegConfig config;
   roadseg::RoadSegNet net(config, rng);
   net.set_training(false);
+  // The perf DB binds the convs of the plan's NCHW layout (the blocked
+  // layout runs its own kernels); ROADFUSION_PLAN is read at build.
+  ::setenv("ROADFUSION_PLAN", "0", 1);
   net.prepare_inference();
+  ::unsetenv("ROADFUSION_PLAN");
   Rng data_rng(5);
   const Tensor rgb = Tensor::uniform(Shape::chw(3, 32, 96), data_rng);
   const Tensor depth = Tensor::uniform(Shape::chw(1, 32, 96), data_rng);

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <string>
@@ -229,6 +230,12 @@ TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
   Rng scene_rng(5);
   const Tensor rgb4 = Tensor::uniform(Shape::nchw(4, 3, 32, 48), scene_rng);
   const Tensor depth4 = Tensor::uniform(Shape::nchw(4, 1, 32, 48), scene_rng);
+  // The smaller batches' inputs are made before the arena is installed:
+  // only the predicts' own buffers are under test.
+  Rng small_rng(6);
+  const Tensor rgb2 = Tensor::uniform(Shape::nchw(2, 3, 32, 48), small_rng);
+  const Tensor depth2 = Tensor::uniform(Shape::nchw(2, 1, 32, 48), small_rng);
+  const Scene single = make_scene(9);
 
   Workspace workspace;
   const WorkspaceScope scope(workspace);
@@ -236,11 +243,7 @@ TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
   const uint64_t misses_after_batch4 = workspace.stats().misses;
 
   // Smaller batches draw from the batch-4 blocks via best-fit: no growth.
-  Rng small_rng(6);
-  const Tensor rgb2 = Tensor::uniform(Shape::nchw(2, 3, 32, 48), small_rng);
-  const Tensor depth2 = Tensor::uniform(Shape::nchw(2, 1, 32, 48), small_rng);
   (void)net.predict(rgb2, depth2);
-  const Scene single = make_scene(9);
   (void)net.predict(single.rgb, single.depth);
   EXPECT_EQ(workspace.stats().misses, misses_after_batch4)
       << "smaller batches must reuse the larger batch's arena";
@@ -327,6 +330,11 @@ TEST(PrepackCache, CountersAdvancePerSolver) {
   Rng rng(2022);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
+  // The registry serves convs in the plan's NCHW layout (the blocked
+  // layout runs its own kernels); ROADFUSION_PLAN is read at build.
+  ::setenv("ROADFUSION_PLAN", "0", 1);
+  net.prepare_inference();
+  ::unsetenv("ROADFUSION_PLAN");
   auto& registry = obs::MetricsRegistry::global();
   auto& hits = registry.counter("roadfusion_prepack_hits");
   auto& misses = registry.counter("roadfusion_prepack_misses");

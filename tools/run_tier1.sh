@@ -190,6 +190,9 @@ if [[ "$plan_smoke" == 1 ]]; then
     { echo "$explain"; echo "plan smoke: no blocked-layout conv in the schedule" >&2; exit 1; }
   echo "$explain" | grep -q 'inference plan: scheme=' ||
     { echo "$explain"; echo "plan smoke: plan header missing" >&2; exit 1; }
+  # The whole network runs blocked, down to the decoder head.
+  echo "$explain" | grep -q 'layout=nchwc8 .*layer=decoder\.head ' ||
+    { echo "$explain"; echo "plan smoke: decoder head not in the blocked layout" >&2; exit 1; }
   # int8 mode: the same plan runs its NCHW layout and says why.
   (cd build && ./tools/roadfusion calibrate --model plan_smoke.rfc \
       --out plan_smoke.table --cap 2 >/dev/null)
@@ -212,9 +215,11 @@ if [[ "$tune_smoke" == 1 ]]; then
   head -1 "$tune_db" | grep -q '^RFPD1 cpu=' ||
     { echo "tune smoke: bad DB header" >&2; exit 1; }
   # One synthetic scene through serving with the DB: the reload line must
-  # appear and the per-solver selection counter must be exported.
-  metrics="$(cd build && ./tools/roadfusion metrics-dump --count 1 \
-      --perf-db tune_smoke.db 2>&1)"
+  # appear and the per-solver selection counter must be exported. The DB
+  # binds the convs of the plan's NCHW layout (the fp32 blocked layout
+  # runs its own kernels), so this scene is served with ROADFUSION_PLAN=0.
+  metrics="$(cd build && ROADFUSION_PLAN=0 ./tools/roadfusion metrics-dump \
+      --count 1 --perf-db tune_smoke.db 2>&1)"
   echo "$metrics" | grep -q 'reloaded [1-9][0-9]* tuned record' ||
     { echo "tune smoke: serving did not reload the DB" >&2; exit 1; }
   echo "$metrics" | grep -q 'roadfusion_solver_selected_total{solver=' ||
