@@ -16,8 +16,10 @@
 // per-trial mean latencies over interleaved trials, plus per-call heap
 // allocations measured by the operator-new hooks from
 // tests/alloc_hooks.cpp. Every row runs the shipped kernel selection (no
-// forced solver, no perf DB), and the JSON records the host fingerprint
-// plus the solver that selection binds for every conv layer of the graph.
+// forced solver, no perf DB), and the JSON records the host fingerprint,
+// the kernel the fp32 rows' blocked plan runs for every conv
+// (`fp32_plan_solver`) and the registry solver the plan's NCHW layout
+// binds per fp32 conv (`nchw_layout_solvers`).
 //
 // Flags:
 //   --smoke        seconds-fast mode: path comparison only, few repeats,
@@ -37,6 +39,7 @@
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
 #include "bench_common.hpp"
+#include "common/cpu.hpp"
 #include "quant/runtime.hpp"
 #include "tensor/shape.hpp"
 #include "tune/dispatch.hpp"
@@ -196,12 +199,11 @@ int main(int argc, char** argv) {
   }
   fp32();
 
-  // Per-layer solver selections: record the conv problems of one graph
-  // forward (every conv) and one fused plan predict (adds the decoder's
-  // transposed convs), then ask the dispatch layer what it binds for each
-  // — the default selection the plan's NCHW-layout layers (stems,
-  // decoder, and every conv outside the blocked layout) run. The
-  // blocked-layout interior runs the plan's own nchwc_direct kernel.
+  // Registry selections: record the conv problems of one graph forward
+  // (every conv) and one fused predict (recording selects the plan's NCHW
+  // layout, which adds the decoder's transposed convs), then ask the
+  // dispatch layer what it binds for each. The fp32 rows' blocked layout
+  // runs none of them: every conv there is the plan's own direct kernel.
   tune::clear_recorded_problems();
   tune::set_problem_recording(true);
   (void)graph_predict(net, rgb, depth);
@@ -244,7 +246,12 @@ int main(int argc, char** argv) {
         .field("bytes_per_call", row.bytes_per_call(), 1)
         .end_object();
   }
-  json.end_array().begin_array("layer_solvers");
+  json.end_array()
+      .field("fp32_plan_solver",
+             std::string(common::active_tier() >= common::CpuTier::kAvx2
+                             ? "nchwc_direct_avx2"
+                             : "nchwc_direct"))
+      .begin_array("nchw_layout_solvers");
   for (const tune::ConvProblem& p : layer_problems) {
     json.begin_object()
         .field("layer", p.key())

@@ -252,8 +252,9 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
             }
           }
           const int64_t at = ((oy + 1) * (out_w + 2) + (ox + 1)) * kLanes;
-          float* dp = dplane_p + at;
+          // A dense NCHW output is staged per column, then scattered.
           float column[kLanes];
+          float* dp = nchw_out ? column : dplane_p + at;
           for (int64_t l = 0; l < kLanes; ++l) {
             float v = acc[l];
             if (has_bias) {
@@ -277,7 +278,7 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
                 v += post_p[at + l];
               }
             }
-            column[l] = v;
+            dp[l] = v;
           }
           if (nchw_out) {
             // Dense NCHW: real channels only, one plane per channel.
@@ -287,8 +288,6 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
             for (int64_t l = 0; l < lanes; ++l) {
               d[l * out_h * out_w] = column[l];
             }
-          } else {
-            std::copy(column, column + kLanes, dp);
           }
         }
       }

@@ -61,19 +61,20 @@ struct EpiVecs {
 };
 
 /// Output side of the direct conv: the NCHWc8 plane of the current output
-/// block, or — with `nchw` — the dense NCHW plane of its first channel.
+/// block, or — for a dense NCHW output — the plane of its first channel.
 struct OutPlane {
   float* base = nullptr;
-  bool nchw = false;
   int64_t out_w = 0;
   int64_t channel_stride = 0;  ///< NCHW: floats between channel planes
   int64_t lanes = kLanes;      ///< NCHW: real channels in this block
 };
 
-/// Stores column (oy, ox) at NCHWc8 offset `at` (or its NCHW position).
+/// Stores column (oy, ox) at NCHWc8 offset `at`, or at its NCHW position
+/// when `kNchwOut`.
+template <bool kNchwOut>
 inline void store(__m256 v, const OutPlane& out, int64_t at, int64_t oy,
                   int64_t ox) {
-  if (!out.nchw) {
+  if constexpr (!kNchwOut) {
     _mm256_storeu_ps(out.base + at, v);
     return;
   }
@@ -117,7 +118,8 @@ inline __m256 epilogue(__m256 v, const float* pre_p, const float* post_p,
 /// The direct conv for a K x K kernel, K = 0 read at run time. A
 /// compile-time K = 1 drops the tap loops from the 1x1 convs; the 3x3
 /// convs measured faster with the run-time loops than fully unrolled.
-template <int64_t K>
+/// `kNchwOut` (the decoder head) writes dense NCHW instead of NCHWc8.
+template <int64_t K, bool kNchwOut>
 void conv_kernel(const NchwcConvArgs& a) {
   const int64_t k = K > 0 ? K : a.kernel;
   const int64_t s = a.stride;
@@ -136,9 +138,8 @@ void conv_kernel(const NchwcConvArgs& a) {
     for (int64_t ob = 0; ob < ocb; ++ob) {
       const float* wblock = a.w + ob * a.cin * k * k * kLanes;
       OutPlane out;
-      out.nchw = a.nchw_out;
       out.out_w = a.out_w;
-      if (a.nchw_out) {
+      if constexpr (kNchwOut) {
         out.channel_stride = a.out_h * a.out_w;
         out.base = a.dst + (img * a.cout + ob * kLanes) * out.channel_stride;
         out.lanes = a.cout - ob * kLanes < kLanes ? a.cout - ob * kLanes
@@ -205,9 +206,10 @@ void conv_kernel(const NchwcConvArgs& a) {
           const EpiVecs ev(e);
           for (int64_t c = 0; c < kCols; ++c) {
             const int64_t col_at = at + c * kLanes;
-            store(epilogue(acc[c], pre_p ? pre_p + col_at : nullptr,
-                           post_p ? post_p + col_at : nullptr, ev),
-                  out, col_at, oy, ox + c);
+            store<kNchwOut>(
+                epilogue(acc[c], pre_p ? pre_p + col_at : nullptr,
+                         post_p ? post_p + col_at : nullptr, ev),
+                out, col_at, oy, ox + c);
           }
         }
         for (; ox < a.out_w; ++ox) {
@@ -229,9 +231,9 @@ void conv_kernel(const NchwcConvArgs& a) {
             }
           }
           const int64_t at = ((oy + 1) * (a.out_w + 2) + (ox + 1)) * kLanes;
-          store(epilogue(acc, pre_p ? pre_p + at : nullptr,
-                         post_p ? post_p + at : nullptr, EpiVecs(e)),
-                out, at, oy, ox);
+          store<kNchwOut>(epilogue(acc, pre_p ? pre_p + at : nullptr,
+                                   post_p ? post_p + at : nullptr, EpiVecs(e)),
+                          out, at, oy, ox);
         }
       }
     }
@@ -241,10 +243,12 @@ void conv_kernel(const NchwcConvArgs& a) {
 }  // namespace
 
 bool conv_nchwc_avx2(const NchwcConvArgs& a) {
-  if (a.kernel == 1) {
-    conv_kernel<1>(a);
+  if (a.nchw_out) {
+    a.kernel == 1 ? conv_kernel<1, true>(a) : conv_kernel<0, true>(a);
+  } else if (a.kernel == 1) {
+    conv_kernel<1, false>(a);
   } else {
-    conv_kernel<0>(a);
+    conv_kernel<0, false>(a);
   }
   return true;
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "roadseg/roadseg_net.hpp"
 #include "runtime/engine.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/workspace.hpp"
 
 namespace roadfusion::runtime {
 namespace {
@@ -237,6 +239,50 @@ TEST(InferenceEngine, MultiProducerStressServesAllBitIdentical) {
   EXPECT_GE(stats.mean_batch_size, 1.0);
   EXPECT_GT(stats.mean_latency_ms, 0.0);
   EXPECT_GE(stats.p99_latency_ms, stats.p50_latency_ms);
+}
+
+TEST(InferenceEngine, WorkerArenaServesSmallerBatchesWithoutGrowing) {
+  Rng rng(7);
+  RoadSegNet net(small_config(core::FusionScheme::kWeightedSharing), rng);
+  net.set_training(false);
+  const std::vector<ScenePair> scenes = make_scenes(4, 21);
+
+  std::mutex sizes_mutex;
+  std::vector<size_t> batch_sizes;
+  EngineConfig config;
+  config.threads = 1;
+  config.max_batch = 4;
+  config.max_wait_us = 200000;  // a burst of four always forms one batch
+  config.pre_forward_hook = [&](size_t size) {
+    const std::lock_guard<std::mutex> lock(sizes_mutex);
+    batch_sizes.push_back(size);
+  };
+  InferenceEngine engine(net, config);
+  const auto serve = [&](int count) {
+    std::vector<std::future<InferenceResult>> futures;
+    for (int i = 0; i < count; ++i) {
+      futures.push_back(engine.submit(scenes[i].rgb, scenes[i].depth));
+    }
+    for (auto& future : futures) {
+      (void)future.get();
+    }
+  };
+  // The worker's arena holds the collated inputs and the output of every
+  // batch; only it changes while the engine serves.
+  const size_t reserved_before =
+      tensor::Workspace::global_stats().reserved_bytes;
+  serve(4);
+  const size_t reserved_after_batch4 =
+      tensor::Workspace::global_stats().reserved_bytes;
+  EXPECT_GT(reserved_after_batch4, reserved_before);
+  serve(2);
+  serve(1);
+  EXPECT_EQ(tensor::Workspace::global_stats().reserved_bytes,
+            reserved_after_batch4)
+      << "a worker that served a batch of 4 must not grow for 2 or 1";
+  engine.shutdown();
+  const std::lock_guard<std::mutex> lock(sizes_mutex);
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{4, 2, 1}));
 }
 
 TEST(InferenceEngine, SubmitValidatesShapes) {

@@ -870,7 +870,7 @@ TEST(TuneEndToEnd, PerfDbRebindsNetworkConvsBitExactly) {
   const Tensor rgb = Tensor::uniform(Shape::chw(3, 32, 96), data_rng);
   const Tensor depth = Tensor::uniform(Shape::chw(1, 32, 96), data_rng);
 
-  // Record the conv problems the net actually binds, and the baseline
+  // Record the conv problems the NCHW layout binds, and the baseline
   // output under the default heuristic (pre-packed where viable).
   clear_recorded_problems();
   set_problem_recording(true);

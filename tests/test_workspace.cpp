@@ -227,23 +227,27 @@ TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
   net.prepare_inference();
-  Rng scene_rng(5);
-  const Tensor rgb4 = Tensor::uniform(Shape::nchw(4, 3, 32, 48), scene_rng);
-  const Tensor depth4 = Tensor::uniform(Shape::nchw(4, 1, 32, 48), scene_rng);
-  // The smaller batches' inputs are made before the arena is installed:
-  // only the predicts' own buffers are under test.
-  Rng small_rng(6);
-  const Tensor rgb2 = Tensor::uniform(Shape::nchw(2, 3, 32, 48), small_rng);
-  const Tensor depth2 = Tensor::uniform(Shape::nchw(2, 1, 32, 48), small_rng);
-  const Scene single = make_scene(9);
 
   Workspace workspace;
   const WorkspaceScope scope(workspace);
-  (void)net.predict(rgb4, depth4);
+  // Each batch is collated inside the arena and dropped after its
+  // predict, as InferenceEngine::serve_batch does on a worker.
+  Rng scene_rng(5);
+  const auto serve = [&](int64_t n) {
+    const Tensor rgb = Tensor::uniform(Shape::nchw(n, 3, 32, 48), scene_rng);
+    const Tensor depth =
+        Tensor::uniform(Shape::nchw(n, 1, 32, 48), scene_rng);
+    (void)net.predict(rgb, depth);
+  };
+  serve(4);
   const uint64_t misses_after_batch4 = workspace.stats().misses;
+  EXPECT_GE(misses_after_batch4, 3u)
+      << "the batch-4 inputs and output are arena blocks";
 
   // Smaller batches draw from the batch-4 blocks via best-fit: no growth.
-  (void)net.predict(rgb2, depth2);
+  serve(2);
+  serve(1);
+  const Scene single = make_scene(9);
   (void)net.predict(single.rgb, single.depth);
   EXPECT_EQ(workspace.stats().misses, misses_after_batch4)
       << "smaller batches must reuse the larger batch's arena";
@@ -342,7 +346,7 @@ TEST(PrepackCache, CountersAdvancePerSolver) {
     const uint64_t hits_before = hits.value();
     (void)net.predict(scene.rgb, scene.depth);
     EXPECT_GT(hits.value(), hits_before)
-        << "default predict must serve convs from the packed cache";
+        << "NCHW-layout predict must serve convs from the packed cache";
   }
   {
     const SolverGuard guard("reference");

@@ -23,8 +23,10 @@
 //
 // `infer`, `batch-infer` and `metrics-dump` accept `--trace FILE` to
 // write a Chrome trace-event JSON of the run (chrome://tracing),
-// `--perf-db FILE` to serve with tuned per-shape solver bindings, and
-// `--quant FILE` to serve int8 with a calibrated scale table.
+// `--perf-db FILE` to bind tuned per-shape solvers to the convs of the
+// plan's NCHW layout (int8, `ROADFUSION_PLAN=0`; the default fp32 plan
+// runs its own blocked kernels), and `--quant FILE` to serve int8 with a
+// calibrated scale table.
 //
 // Run `roadfusion <command> --help` for the options of each command.
 #include <chrono>
@@ -112,9 +114,11 @@ runtime::EngineConfig engine_config(const cli::Args& args) {
 }
 
 /// Loads --perf-db FILE into the solver registry so serving binds the
-/// tuned per-shape solvers (see `roadfusion tune`). Missing file is an
-/// error here — an explicit flag deserves a loud failure, unlike the
-/// best-effort ROADFUSION_PERF_DB env pickup.
+/// tuned per-shape solvers (see `roadfusion tune`) wherever a conv runs
+/// through the registry: the plan's NCHW layout (the load message says
+/// so; the default fp32 plan runs its own blocked kernels). Missing file
+/// is an error here — an explicit flag deserves a loud failure, unlike
+/// the best-effort ROADFUSION_PERF_DB env pickup.
 void apply_perf_db(const cli::Args& args) {
   const std::string path = args.get("perf-db", "");
   if (path.empty()) {
@@ -122,7 +126,10 @@ void apply_perf_db(const cli::Args& args) {
   }
   const tune::PerfDbLoad result = tune::load_perf_db(path);
   ROADFUSION_CHECK(result.found, "--perf-db '" << path << "' not found");
-  std::fprintf(stderr, "perf DB %s: reloaded %zu tuned record(s)\n",
+  std::fprintf(stderr,
+               "perf DB %s: reloaded %zu tuned record(s); they bind the "
+               "convs of the NCHW layout only (int8 --quant, "
+               "ROADFUSION_PLAN=0)\n",
                path.c_str(), result.db.size());
 }
 
@@ -433,7 +440,8 @@ int cmd_batch_infer(const cli::Args& args) {
         "  --inject-faults    deterministic fault spec, e.g.\n"
         "                     rate=0.1,seed=7,kinds=nan+slow (see DESIGN.md"
         " §9)\n"
-        "  --perf-db FILE     serve with tuned per-shape solver bindings\n"
+        "  --perf-db FILE     tuned per-shape solver bindings for the NCHW\n"
+        "                     layout (int8 --quant, ROADFUSION_PLAN=0)\n"
         "  --quant FILE       serve int8 with a calibrated scale table\n"
         "  --trace FILE       write a Chrome trace-event JSON of the run\n");
     return 0;
@@ -783,7 +791,9 @@ int cmd_tune(const cli::Args& args) {
         "scene, benchmarks every applicable solver (and its parameter\n"
         "candidates) per shape, and writes the winners to a perf DB keyed\n"
         "by shape + CPU signature. Serving commands consume it via\n"
-        "--perf-db FILE or ROADFUSION_PERF_DB.\n\n"
+        "--perf-db FILE or ROADFUSION_PERF_DB for the convs of the NCHW\n"
+        "layout (int8 --quant, ROADFUSION_PLAN=0); the default fp32 plan\n"
+        "runs its own blocked kernels.\n\n"
         "  --db FILE   output path (default: $ROADFUSION_PERF_DB or\n"
         "              roadfusion_perf.db)\n"
         "  --smoke     few iterations per measurement — fast, CI-grade\n"
